@@ -3,12 +3,14 @@
 Every subcommand prints a single JSON report to standard output and returns a
 conventional exit code: 0 for a decided/constructed result, 1 when a decision
 command answers "absent/false", 2 for usage or file-format errors, 3 when an
-exact computation exceeds its declared capacity.  Hypergraphs are read from
-.hg text files (or .json); logs and diagnostics go to standard error.
+exact computation exceeds its declared capacity, 4 for an internal error (any
+other exception, such as RecursionError or MemoryError).  Hypergraphs are
+read from .hg text files (or .json); logs and diagnostics go to standard
+error.
 
 Results are bit-reproducible: re-running a command with the echoed inputs
-(including the seed) yields an identical report except for wall_time_ms, for
-any value of --threads.
+(including the seed) yields an identical report except for wall_time_ms;
+--threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="reserved; searches run sequentially and results do not depend on it",
+        help="no-op: accepted and ignored; every search runs sequentially",
     )
     parser = argparse.ArgumentParser(
         prog="erog",
@@ -360,6 +362,10 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "decided false", so a crash must not fall through to it.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     report = {"command": args.command, "inputs": inputs, "result": result}
     if seed is not None:
         report["seed"] = seed

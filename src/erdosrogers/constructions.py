@@ -199,7 +199,10 @@ def construct_shadow_labeling(
 
 
 def verify_g_free(h: Hypergraph, g: Hypergraph) -> Optional[Embedding]:
-    """Exhaustive search for a copy of g in h; None certifies g-freeness."""
+    """Alias of :func:`contains_copy`: exhaustive search for a copy of g in h.
+
+    None certifies g-freeness; otherwise the first embedding is returned.
+    """
     return contains_copy(h, g)
 
 

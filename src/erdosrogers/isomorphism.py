@@ -1,15 +1,18 @@
 """Subgraph embedding search, exact embedding counts, and a minimal canonical form.
 
-All searches are deterministic: pattern vertices are processed in a fixed
-connectivity-guided order and host candidates are tried in increasing id, so
-the witness returned is the first one of a fixed left-to-right search.
+One backtracker, :func:`_iter_maps`, finds both embeddings (injective) and
+homomorphisms (see :mod:`.morphisms`).  It is deterministic: pattern vertices
+are processed in a fixed constraint-first order and host candidates are tried
+in increasing id, so the witness returned is the first one of a fixed
+left-to-right search.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph
@@ -49,71 +52,104 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
     )
 
 
-def _pattern_order(pattern: Hypergraph) -> list[int]:
-    # Constraint-first order: prefer the vertex that completes the most
-    # pattern edges against those already placed, then the one sharing edges
-    # with the most placed vertices, then high degree, then small id.  Edge
-    # checks then fire as early as possible during the search.
-    adj: list[set[int]] = [set() for _ in range(pattern.n)]
+def _iter_maps(
+    pattern: Hypergraph, host: Hypergraph, injective: bool
+) -> Iterator[tuple[int, ...]]:
+    """Every edge-preserving vertex map of pattern into host, in a fixed order.
+
+    A map is a tuple whose entry v hosts pattern vertex v; every pattern edge
+    lands on r distinct vertices that form a host edge.  With injective=True
+    the maps are the embeddings, otherwise the homomorphisms.
+
+    Pattern vertices are placed constraint-first: next comes the vertex that
+    completes the most pattern edges against those already placed, then the
+    one sharing edges with the most placed vertices, then high degree, then
+    small id.  A vertex that completes edges takes its candidates from the
+    host link index: the host vertices completing the images of each such
+    edge's other vertices.  Host candidates are tried in increasing id.  The
+    search keeps an explicit stack, so pattern size is not bounded by the
+    recursion limit.
+    """
+    n, r = pattern.n, pattern.r
+    if injective and (n > host.n or len(pattern.edges) > len(host.edges)):
+        return
+    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    adj: list[set[int]] = [set() for _ in range(n)]
     for e in pattern.edges:
         for u in e:
+            edges_at[u].append(e)
             adj[u].update(w for w in e if w != u)
-    deg = pattern.degrees
-    order: list[int] = []
-    placed = [False] * pattern.n
-    for _ in range(pattern.n):
-        best, best_key = -1, None
-        for v in range(pattern.n):
-            if placed[v]:
-                continue
-            completes = sum(
-                1
-                for e in pattern.edges
-                if v in e and all(placed[u] or u == v for u in e)
-            )
-            link = sum(1 for u in adj[v] if placed[u])
-            key = (completes, link, deg[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed[best] = True
-    return order
-
-
-def _iter_images(pattern: Hypergraph, host: Hypergraph) -> Iterator[tuple[int, ...]]:
-    if pattern.n > host.n or len(pattern.edges) > len(host.edges):
-        return
-    order = _pattern_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    # Edges become checkable at the depth where their last vertex is placed.
-    checks: list[list[tuple[int, ...]]] = [[] for _ in range(pattern.n + 1)]
-    for e in pattern.edges:
-        checks[max(pos[v] for v in e)].append(e)
     pdeg, hdeg = pattern.degrees, host.degrees
-    edge_set = host.edge_set
-    images = [-1] * pattern.n
+    # The order keys only grow as vertices are placed, so a heap of
+    # (-completes, -link, -degree, v) entries, skipping stale ones, pops the
+    # maximum key each time.  With r = 1 every edge starts out complete.
+    completes = list(pdeg) if r == 1 else [0] * n
+    link = [0] * n
+    missing = {e: r for e in pattern.edges}
+    placed = [False] * n
+    heap = [(-completes[v], 0, -pdeg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        c, l, _, v = heapq.heappop(heap)
+        if placed[v] or (-c, -l) != (completes[v], link[v]):
+            continue
+        placed[v] = True
+        order.append(v)
+        for e in edges_at[v]:
+            missing[e] -= 1
+            if missing[e] == 1:
+                completes[next(u for u in e if not placed[u])] += 1
+        for u in adj[v]:
+            if not placed[u]:
+                link[u] += 1
+                heapq.heappush(heap, (-completes[u], -link[u], -pdeg[u], u))
+    # An edge is checked at the depth where its last vertex is placed.
+    pos = {v: i for i, v in enumerate(order)}
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for e in pattern.edges:
+        last = max(e, key=pos.__getitem__)
+        checks[pos[last]].append(tuple(u for u in e if u != last))
+    links: dict[tuple[int, ...], set[int]] = {}
+    for e in host.edges:
+        for i in range(r):
+            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+    images = [-1] * n
     used = [False] * host.n
 
-    def rec(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == pattern.n:
-            yield tuple(images)
-            return
-        p = order[depth]
-        need = pdeg[p]
-        for cand in range(host.n):
-            if used[cand] or hdeg[cand] < need:
-                continue
-            images[p] = cand
-            used[cand] = True
-            if all(
-                tuple(sorted(images[v] for v in e)) in edge_set
-                for e in checks[depth]
-            ):
-                yield from rec(depth + 1)
-            used[cand] = False
-        images[p] = -1
+    def candidates(depth: int) -> Iterable[int]:
+        pools = []
+        for others in checks[depth]:
+            pool = links.get(tuple(sorted(images[u] for u in others)))
+            if pool is None:
+                return []
+            pools.append(pool)
+        cands = sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
+        if not injective:
+            return cands
+        need = pdeg[order[depth]]
+        return [c for c in cands if not used[c] and hdeg[c] >= need]
 
-    yield from rec(0)
+    if n == 0:
+        yield ()
+        return
+    stack = [iter(candidates(0))]
+    while stack:
+        depth = len(stack) - 1
+        p = order[depth]
+        if images[p] >= 0:
+            used[images[p]] = False
+        cand = next(stack[-1], None)
+        if cand is None:
+            images[p] = -1
+            stack.pop()
+            continue
+        images[p] = cand
+        used[cand] = injective
+        if depth + 1 == n:
+            yield tuple(images)
+        else:
+            stack.append(iter(candidates(depth + 1)))
 
 
 def iter_embeddings(pattern: Hypergraph, host: Hypergraph) -> Iterator[Embedding]:
@@ -122,7 +158,7 @@ def iter_embeddings(pattern: Hypergraph, host: Hypergraph) -> Iterator[Embedding
         raise InvalidParameterError(
             f"uniformity mismatch: {pattern.r} vs {host.r}"
         )
-    for img in _iter_images(pattern, host):
+    for img in _iter_maps(pattern, host, injective=True):
         yield Embedding(img)
 
 
@@ -130,7 +166,7 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Optional[Embedding]:
     """First embedding of pattern into host, or None if host is pattern-free."""
     if host.r != pattern.r:
         raise InvalidParameterError(f"uniformity mismatch: {host.r} vs {pattern.r}")
-    for img in _iter_images(pattern, host):
+    for img in _iter_maps(pattern, host, injective=True):
         return Embedding(img)
     return None
 
@@ -139,10 +175,10 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
     """Exact count of embeddings, and of copies (embeddings / |Aut(pattern)|)."""
     if pattern.r != host.r:
         raise InvalidParameterError(f"uniformity mismatch: {pattern.r} vs {host.r}")
-    total = sum(1 for _ in _iter_images(pattern, host))
+    total = sum(1 for _ in _iter_maps(pattern, host, injective=True))
     if total == 0:
         return EmbeddingCount(0, 0)
-    aut = sum(1 for _ in _iter_images(pattern, pattern))
+    aut = sum(1 for _ in _iter_maps(pattern, pattern, injective=True))
     assert total % aut == 0, "embedding count must be divisible by |Aut|"
     return EmbeddingCount(total, total // aut)
 

@@ -4,10 +4,18 @@ k-tight connectivity, and bounded-depth membership in iterated blowups.
 A k-shadow-homomorphism from G to F assigns every k-subset S of an edge of G
 a target k-subset of an edge of F together with a bijection g_S, such that on
 every edge of G the per-k-set bijections glue into a single bijection onto an
-edge of F.  Equivalently (and this is how the solver works): each edge of G
-gets an injective map onto an edge of F, and any two edges sharing at least k
-vertices agree pointwise on their intersection.  With k = 1 this is exactly a
-homomorphism restricted to the covered vertices.
+edge of F.  Equivalently: each edge of G gets an injective map onto an edge
+of F, and any two edges sharing at least k vertices agree pointwise on their
+intersection.
+
+The solver reduces this to a homomorphism search.  Every edge sees its own
+copy (slot) of each of its vertices; the slots of a vertex are merged across
+every two edges that share a k-set.  The merged slots span the slot r-graph
+G_k, which has one edge per edge of G, and G is k-shadow-homomorphic to F
+exactly when G_k is homomorphic to F.  Homomorphisms, like embeddings, come
+from the one backtracker in :mod:`.isomorphism`.  With k = 1 all slots of a
+vertex merge, G_k is G on its covered vertices, and a 1-shadow-homomorphism
+is a homomorphism restricted to those vertices.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .hypergraph import Hypergraph, blowup_F
 from .isomorphism import (
     CANONICAL_CAP,
     Embedding,
+    _iter_maps,
     canonical_form,
     contains_copy,
 )
@@ -88,82 +97,9 @@ def find_homomorphism(g: Hypergraph, f: Hypergraph) -> Optional[HomWitness]:
     """
     if g.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {g.r} vs {f.r}")
-    if g.n == 0:
-        return HomWitness(())
-    if f.n == 0:
-        return None
-    if g.edges and not f.edges:
-        return None
-    order = _connectivity_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    checks: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
-    for e in g.edges:
-        checks[max(pos[v] for v in e)].append(e)
-    images = [-1] * g.n
-    edge_set = f.edge_set
-
-    def rec(depth: int) -> bool:
-        if depth == g.n:
-            return True
-        v = order[depth]
-        for cand in range(f.n):
-            images[v] = cand
-            ok = True
-            for e in checks[depth]:
-                img = sorted(images[u] for u in e)
-                if len(set(img)) != g.r or tuple(img) not in edge_set:
-                    ok = False
-                    break
-            if ok and rec(depth + 1):
-                return True
-        images[v] = -1
-        return False
-
-    if rec(0):
-        return HomWitness(tuple(images))
+    for images in _iter_maps(g, f, injective=False):
+        return HomWitness(images)
     return None
-
-
-def _connectivity_order(g: Hypergraph) -> list[int]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for e in g.edges:
-        for u in e:
-            adj[u].update(w for w in e if w != u)
-    deg = g.degrees
-    order: list[int] = []
-    placed = [False] * g.n
-    for _ in range(g.n):
-        best, best_key = -1, None
-        for v in range(g.n):
-            if placed[v]:
-                continue
-            key = (sum(1 for u in adj[v] if placed[u]), deg[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed[best] = True
-    return order
-
-
-def _edge_processing_order(edges: list[tuple[int, ...]], k: int) -> list[int]:
-    # Greedy order maximizing overlap with already-processed edges, so the
-    # gluing constraint bites as early as possible.
-    remaining = set(range(len(edges)))
-    order = [0]
-    remaining.discard(0)
-    while remaining:
-        best, best_key = -1, None
-        for i in sorted(remaining):
-            inter = max(
-                (len(set(edges[i]) & set(edges[j])) for j in order), default=0
-            )
-            tied = sum(1 for j in order if len(set(edges[i]) & set(edges[j])) >= k)
-            key = (inter, tied, -i)
-            if best_key is None or key > best_key:
-                best, best_key = i, key
-        order.append(best)
-        remaining.discard(best)
-    return order
 
 
 def find_shadow_homomorphism(
@@ -171,83 +107,50 @@ def find_shadow_homomorphism(
 ) -> Optional[ShadowHomWitness]:
     """Decide whether g is k-shadow-homomorphic to f; full witness on success.
 
-    Backtracking over edges of g in an overlap-maximizing order.  Each edge's
-    candidate assignments are all injections onto an edge of f; forward
-    checking filters the candidates of edges sharing >= k vertices.
+    Reduces to a homomorphism search.  Slot (i, j) stands for the j-th vertex
+    of edge i as that edge sees it; the slots of a vertex are merged across
+    every two edges sharing a k-set, hence across every two edges meeting in
+    at least k vertices.  The merged slots span the slot r-graph G_k, with
+    one edge per edge of g, and g is k-shadow-homomorphic to f exactly when
+    G_k is homomorphic to f.  The witness reads each edge's bijection off the
+    images of its slots.
     """
     if g.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {g.r} vs {f.r}")
     if k < 1 or k > g.r:
         raise InvalidParameterError(f"shadow order must be in 1..{g.r}, got {k}")
-    if not g.edges:
-        return ShadowHomWitness(k=k, shadow_map=(), edge_map=())
-    if not f.edges:
-        return None
+    r, edges = g.r, g.edges
+    # Union-find over slots; slot i*r + j is vertex edges[i][j] seen by edge i.
+    parent = list(range(len(edges) * r))
 
-    edges = list(g.edges)
-    m = len(edges)
-    # Identical candidate pool for every source edge: image tuples aligned
-    # with the sorted source, one per (target edge, permutation).
-    pool = [perm for e in f.edges for perm in itertools.permutations(e)]
-    # Constrained pairs: shared positions for edges intersecting in >= k vertices.
-    shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            inter = set(edges[i]) & set(edges[j])
-            if len(inter) >= k:
-                shared[(i, j)] = [
-                    (edges[i].index(v), edges[j].index(v)) for v in sorted(inter)
-                ]
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
 
-    def compatible(i: int, ci: tuple, j: int, cj: tuple) -> bool:
-        if i > j:
-            i, j, ci, cj = j, i, cj, ci
-        pairs = shared.get((i, j))
-        if pairs is None:
-            return True
-        return all(ci[p] == cj[q] for p, q in pairs)
-
-    order = _edge_processing_order(edges, k)
-    domains: list[list[tuple]] = [list(pool) for _ in range(m)]
-    assignment: list[Optional[tuple]] = [None] * m
-
-    def rec(depth: int) -> bool:
-        if depth == m:
-            return True
-        i = order[depth]
-        for cand in domains[i]:
-            assignment[i] = cand
-            saved = []
-            feasible = True
-            for j in order[depth + 1 :]:
-                filtered = [c for c in domains[j] if compatible(i, cand, j, c)]
-                saved.append((j, domains[j]))
-                domains[j] = filtered
-                if not filtered:
-                    feasible = False
-                    break
-            if feasible and rec(depth + 1):
-                return True
-            for j, old in saved:
-                domains[j] = old
-        assignment[i] = None
-        return False
-
-    if not rec(0):
-        return None
-
-    edge_map = tuple(
-        SetMap(source=edges[i], images=tuple(assignment[i])) for i in range(m)
-    )
-    shadow_entries = {}
+    first: dict[tuple[int, ...], int] = {}  # k-set -> first edge containing it
     for i, e in enumerate(edges):
-        img = assignment[i]
-        for positions in itertools.combinations(range(g.r), k):
-            s = tuple(e[p] for p in positions)
-            if s not in shadow_entries:
-                shadow_entries[s] = tuple(img[p] for p in positions)
+        for positions in itertools.combinations(range(r), k):
+            j = first.setdefault(tuple(e[p] for p in positions), i)
+            for p in positions:
+                parent[find(i * r + p)] = find(j * r + edges[j].index(e[p]))
+    roots = [find(s) for s in range(len(edges) * r)]
+    label = {root: c for c, root in enumerate(dict.fromkeys(roots))}
+    slot = [label[root] for root in roots]
+    g_k = Hypergraph(
+        r, len(label), tuple(tuple(slot[i * r : i * r + r]) for i in range(len(edges)))
+    )
+    images = next(_iter_maps(g_k, f, injective=False), None)
+    if images is None:
+        return None
+    edge_map = tuple(
+        SetMap(source=e, images=tuple(images[c] for c in slot[i * r : i * r + r]))
+        for i, e in enumerate(edges)
+    )
     shadow_map = tuple(
-        SetMap(source=s, images=shadow_entries[s]) for s in sorted(shadow_entries)
+        SetMap(source=s, images=tuple(edge_map[i].apply(v) for v in s))
+        for s, i in sorted(first.items())
     )
     return ShadowHomWitness(k=k, shadow_map=shadow_map, edge_map=edge_map)
 
@@ -298,7 +201,16 @@ def verify_shadow_hom(
 
     if k == g.r - 1:
         by_edge = {em.source: em.target for em in witness.edge_map}
-        for e1, e2, e3 in itertools.combinations(g.edges, 3):
+        # A qualifying triple contains its core, so only edges through a
+        # common (r-2)-set need to be compared.
+        through: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for e in g.edges:
+            for core in itertools.combinations(e, g.r - 2):
+                through.setdefault(core, []).append(e)
+        triples = itertools.chain.from_iterable(
+            itertools.combinations(bucket, 3) for bucket in through.values()
+        )
+        for e1, e2, e3 in triples:
             s1, s2, s3 = set(e1), set(e2), set(e3)
             if (
                 len(s1 & s2) == g.r - 1

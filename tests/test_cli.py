@@ -5,6 +5,7 @@ import json
 import pytest
 
 from erdosrogers import Hypergraph, build_complete, build_h
+from erdosrogers import cli
 from erdosrogers.cli import run
 from erdosrogers.hgio import load_hg, save_hg
 from conftest import tight_c5_minus_edge
@@ -150,6 +151,27 @@ def test_malformed_file_exit_2(files, capsys, tmp_path):
     assert run(["shadow", bad, "-k", "2"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_non_integer_json_vertex_exit_2(tmp_path, capsys):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fobj:
+        json.dump({"r": 3, "n": 4, "edges": [[0, 1, 2.5]]}, fobj)
+    assert run(["shadow", bad, "-k", "2"]) == 2
+    assert "2.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyError])
+def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "_cmd_shadow", boom)
+    assert run(["shadow", files["h32"], "-k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: " + exc.__name__)
+    assert captured.err.count("\n") == 1
 
 
 def test_capacity_error_exit_3(files, capsys):

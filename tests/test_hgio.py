@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from erdosrogers import HgFormatError, Hypergraph
+from erdosrogers import HgFormatError, Hypergraph, InvalidParameterError
 from erdosrogers.hgio import (
     dump_hg_stream,
     format_hg,
@@ -79,3 +79,22 @@ def test_stream_error_reports_absolute_line():
     with pytest.raises(HgFormatError) as exc:
         parse_hg_stream(text)
     assert exc.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"r": 3, "n": 4, "edges": [[0, 1, 2.5]]},
+        {"r": 3, "n": 4, "edges": [[0, 1, 3.0]]},
+        {"r": 3, "n": 4, "edges": [[0, 2, True]]},
+        {"r": 3, "n": 4, "edges": [[0, 1, "2"]]},
+        {"r": 3.7, "n": 4, "edges": []},
+        {"r": 3, "n": "4", "edges": []},
+        {"r": True, "n": 4, "edges": []},
+        {"r": 3, "n": 4, "edges": [0, 1, 2]},
+        {"r": 3, "n": 4},
+    ],
+)
+def test_json_rejects_non_integers(obj):
+    with pytest.raises(InvalidParameterError):
+        from_json_obj(obj)

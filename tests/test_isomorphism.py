@@ -33,6 +33,12 @@ class TestContainsCopy:
             assert is_embedding(f, f, emb)
             assert sorted(emb.images) == list(range(f.n))
 
+    def test_large_matching_self_copy(self):
+        # 1200 pattern vertices: deeper than the default recursion limit.
+        m = Hypergraph(3, 1200, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(400)))
+        emb = contains_copy(m, m)
+        assert emb is not None and is_embedding(m, m, emb)
+
     def test_too_few_edges(self, h32, k34):
         assert contains_copy(h32, k34) is None
 

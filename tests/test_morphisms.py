@@ -27,6 +27,10 @@ from conftest import (
 )
 
 
+def tight_path(m):
+    return Hypergraph(3, m + 2, tuple((i, i + 1, i + 2) for i in range(m)))
+
+
 class TestFindHomomorphism:
     def test_identity(self, h32):
         w = find_homomorphism(h32, h32)
@@ -61,6 +65,14 @@ class TestFindHomomorphism:
                 img = sorted(w.images[v] for v in e)
                 assert len(set(img)) == 3 and tuple(img) in f.edge_set
 
+    def test_long_tight_path(self, k33):
+        # 1102 vertices to place: deeper than the default recursion limit.
+        g = tight_path(1100)
+        w = find_homomorphism(g, k33)
+        assert w is not None
+        for e in g.edges:
+            assert tuple(sorted(w.images[v] for v in e)) in k33.edge_set
+
 
 class TestFindShadowHomomorphism:
     def test_open_tight_cycle_yes_at_2(self, tc5_gap, k33):
@@ -87,16 +99,19 @@ class TestFindShadowHomomorphism:
 
     def test_against_sweep_oracle(self):
         rng = random.Random(43)
-        checked = 0
-        while checked < 25:
-            g = random_hypergraph(rng, 3, 4, p=0.4)
-            f = random_hypergraph(rng, 3, 4, p=0.4)
-            if len(g.edges) > 3 or not (1 <= len(f.edges) <= 2):
-                continue
-            for k in (1, 2):
-                got = find_shadow_homomorphism(g, f, k) is not None
-                assert got == oracle_has_shadow_hom(g, f, k)
-            checked += 1
+        # With r = 4 on five vertices any two edges meet in three vertices,
+        # more than k = 1 or 2.
+        for r, n in ((3, 4), (4, 5)):
+            checked = 0
+            while checked < 25:
+                g = random_hypergraph(rng, r, n, p=0.4)
+                f = random_hypergraph(rng, r, n, p=0.4)
+                if len(g.edges) > 3 or not (1 <= len(f.edges) <= 2):
+                    continue
+                for k in range(1, r):
+                    got = find_shadow_homomorphism(g, f, k) is not None
+                    assert got == oracle_has_shadow_hom(g, f, k)
+                checked += 1
 
     def test_monotone_in_k(self):
         rng = random.Random(47)
@@ -105,6 +120,11 @@ class TestFindShadowHomomorphism:
             f = random_hypergraph(rng, 3, rng.randint(4, 6), p=0.4)
             if find_shadow_homomorphism(g, f, 1) is not None:
                 assert find_shadow_homomorphism(g, f, 2) is not None
+
+    def test_long_tight_path(self, k33):
+        g = tight_path(1100)
+        w = find_shadow_homomorphism(g, k33, 2)
+        assert w is not None and verify_shadow_hom(g, k33, 2, w)
 
     def test_edgeless_source_trivially_yes(self, k33):
         empty = Hypergraph(3, 4, ())
