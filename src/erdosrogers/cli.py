@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import constructions, exact, exponents, hgio, morphisms
-from .errors import CapacityError, HgFormatError, InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 from .hypergraph import iterated_blowup, shadow
 from .isomorphism import Embedding
 from .morphisms import SetMap, ShadowHomWitness
@@ -350,18 +350,12 @@ def run(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, inputs, result, seed = args.handler(args)
-    except HgFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # Exit 1 means "decided false", so a crash must not fall through to it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Ground-truth oracles at tiny scale.
 
-Exact maximum pattern-free induced subsets (branch-and-bound plus a 2^n
+Exact maximum pattern-free induced subsets (the complement of a minimum
+hitting set of the pattern's copies, by branch and bound, plus a 2^n
 exhaustive twin used as its oracle), isomorph-free enumeration of probe-free
 hypergraphs by orderly generation, and the exact two-pattern extremal value
 obtained by minimizing over the enumeration.
@@ -15,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, induced
-from .isomorphism import contains_copy, is_canonical
+from .isomorphism import _iter_maps, contains_copy, is_canonical
 
 BRANCH_AND_BOUND_CAP = 24
 BRUTEFORCE_CAP = 16
@@ -33,15 +34,17 @@ class FExactResult(NamedTuple):
     extremal: Hypergraph
 
 
-def max_f_free_subset(
-    h: Hypergraph, f: Hypergraph, packing_bound: bool = False
-) -> FFreeResult:
+def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
     """Largest vertex subset of h whose induced subgraph contains no copy of f.
 
-    Branch and bound over include/exclude decisions in vertex order; the
-    witness is the lexicographically least among the maximum ones.  The
-    optional packing bound subtracts a greedy count of vertex-disjoint copies
-    of f from the naive bound; it prunes harder but costs extra searches.
+    W contains f exactly when W contains a copy of f's core (f without its
+    isolated vertices) and |W| >= v(f).  So any min(n, v(f)-1) vertices are
+    f-free, and a larger W is f-free exactly when it contains none of the core
+    copies, which are listed once as vertex bitmasks.  Branch and bound then
+    decides the vertices in order, include first: vertex i may join unless it
+    completes a copy.  The bound is the number of vertices still available
+    minus a greedy count of vertex-disjoint copies among them.  The witness is
+    the lexicographically least among the maximum ones.
     """
     if h.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
@@ -52,45 +55,42 @@ def max_f_free_subset(
             f"exact search limited to n <= {BRANCH_AND_BOUND_CAP}, got {h.n}"
         )
     n = h.n
-    best_size = -1
-    best_witness: tuple[int, ...] = ()
+    bit = [1 << v for v in range(n)]
+    parts: list[set[int]] = []  # vertex sets of the core's components
+    for e in f.edges:
+        joined = set(e).union(*(p for p in parts if not p.isdisjoint(e)))
+        parts = [p for p in parts if p.isdisjoint(e)] + [joined]
+    # A core copy is the union of vertex-disjoint copies of its components.
+    copies = {0}
+    for p in parts:
+        maps = _iter_maps(induced(f, p), h, injective=True)
+        masks = {sum(map(bit.__getitem__, img)) for img in maps}
+        copies = {c | m for c in copies for m in masks if not c & m}
+    best_size = min(n, f.n - 1)
+    best_mask = (1 << best_size) - 1
 
-    def bound(cur: list[int], i: int) -> int:
-        ub = len(cur) + (n - i)
-        if packing_bound:
-            ub -= _greedy_disjoint_copies(h, f, cur + list(range(i, n)))
-        return ub
-
-    def rec(i: int, cur: list[int]):
-        nonlocal best_size, best_witness
-        if bound(cur, i) <= best_size:
+    def rec(i: int, cur: int, size: int, live: list[int]):
+        # live: the copies inside cur | {i..n-1}, in increasing mask order.  As
+        # cur holds no copy, none has its highest vertex below i, and those
+        # that i would complete come first.
+        nonlocal best_size, best_mask
+        bound, used = size + n - i, 0
+        for c in live:
+            if not c & used:
+                used, bound = used | c, bound - 1
+                if bound <= best_size:
+                    return
+        if bound <= best_size:
             return
         if i == n:
-            if len(cur) > best_size:
-                best_size = len(cur)
-                best_witness = tuple(cur)
+            best_size, best_mask = size, cur
             return
-        cur.append(i)
-        if contains_copy(induced(h, cur), f) is None:
-            rec(i + 1, cur)
-        cur.pop()
-        rec(i + 1, cur)
+        if not live or live[0] >> i > 1:
+            rec(i + 1, cur | bit[i], size + 1, live)
+        rec(i + 1, cur, size, [c for c in live if not c & bit[i]])
 
-    rec(0, [])
-    return FFreeResult(size=best_size, witness=best_witness)
-
-
-def _greedy_disjoint_copies(h: Hypergraph, f: Hypergraph, active: list[int]) -> int:
-    remaining = sorted(active)
-    count = 0
-    while True:
-        sub = induced(h, remaining)
-        emb = contains_copy(sub, f)
-        if emb is None:
-            return count
-        used = {remaining[i] for i in emb.images}
-        remaining = [v for v in remaining if v not in used]
-        count += 1
+    rec(0, 0, 0, sorted(copies))
+    return FFreeResult(best_size, tuple(v for v in range(n) if best_mask >> v & 1))
 
 
 def max_f_free_bruteforce(h: Hypergraph, f: Hypergraph) -> int:

@@ -31,6 +31,14 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        # One pass over r, n and the vertex ids, made before sorting, which
+        # raises TypeError on a mix of str and int.  bool is a subclass of int,
+        # so the exact type is tested.
+        vertex_types = map(type, itertools.chain.from_iterable(self.edges))
+        if not {type(self.r), type(self.n), *vertex_types} <= {int}:
+            ids = itertools.chain((self.r, self.n), *self.edges)
+            bad = next(v for v in ids if type(v) is not int)
+            raise InvalidParameterError(f"r, n and vertex ids must be int, got {bad!r}")
         if self.r < 1:
             raise InvalidParameterError(f"uniformity must be >= 1, got {self.r}")
         if self.n < 0:

@@ -161,6 +161,14 @@ def test_non_integer_json_vertex_exit_2(tmp_path, capsys):
     assert "2.5" in capsys.readouterr().err
 
 
+def test_missing_file_exit_2(files, capsys):
+    missing = str(files["dir"] / "missing.hg")
+    assert run(["shadow", missing, "-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing.hg" in captured.err
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyError])
 def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
     def boom(args):

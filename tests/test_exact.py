@@ -8,11 +8,14 @@ import pytest
 
 from erdosrogers import (
     CapacityError,
+    FFreeResult,
     Hypergraph,
     InvalidParameterError,
+    build_complete,
     contains_copy,
     enumerate_g_free,
     f_exact,
+    induced,
     max_f_free_bruteforce,
     max_f_free_subset,
 )
@@ -48,7 +51,6 @@ class TestMaxFFreeSubset:
         for _ in range(15):
             h = random_hypergraph(rng, 3, 9, p=0.3)
             res = max_f_free_subset(h, k33)
-            from erdosrogers import induced
             assert contains_copy(induced(h, res.witness), k33) is None
             assert res.size == max_f_free_bruteforce(h, k33)
 
@@ -60,13 +62,21 @@ class TestMaxFFreeSubset:
         with pytest.raises(CapacityError):
             max_f_free_subset(Hypergraph(3, 25, ()), k33)
 
-    def test_packing_bound_agrees(self, k33):
-        rng = random.Random(103)
-        for _ in range(10):
-            h = random_hypergraph(rng, 3, 8, p=0.35)
-            plain = max_f_free_subset(h, k33)
-            packed = max_f_free_subset(h, k33, packing_bound=True)
-            assert plain == packed
+    def test_isolated_vertex_tie_takes_first_vertices(self):
+        # Every 4-set is free of an edge plus two isolated vertices, so the
+        # least 4-set wins even though K^3_6 has larger sets free of its core.
+        f = Hypergraph(3, 5, ((0, 1, 2),))
+        res = max_f_free_subset(build_complete(3, 6), f)
+        assert res == FFreeResult(4, (0, 1, 2, 3))
+
+    def test_cap_size_random_host(self, k34):
+        rng = random.Random(109)
+        h = random_hypergraph(rng, 3, 24, p=0.2)
+        res = max_f_free_subset(h, k34)
+        assert res.size == len(res.witness) < 24
+        assert contains_copy(induced(h, res.witness), k34) is None
+        for v in set(range(24)) - set(res.witness):
+            assert contains_copy(induced(h, res.witness + (v,)), k34) is not None
 
 
 class TestBruteforceOracle:
@@ -81,6 +91,20 @@ class TestBruteforceOracle:
             h = random_hypergraph(rng, 3, rng.randint(5, 10), p=0.3)
             f = patterns[i % 3]
             assert max_f_free_subset(h, f).size == max_f_free_bruteforce(h, f)
+        more_patterns = [
+            Hypergraph(3, 5, ((0, 1, 2),)),  # isolated vertices
+            Hypergraph(2, 3, ((0, 1), (0, 2), (1, 2))),
+            Hypergraph(2, 4, ((0, 1), (2, 3))),  # two components
+            Hypergraph(4, 6, ((0, 1, 2, 3), (2, 3, 4, 5))),
+        ]
+        for f in more_patterns:
+            for _ in range(8):
+                h = random_hypergraph(rng, f.r, rng.randint(4, 9), p=0.5)
+                assert max_f_free_subset(h, f).size == max_f_free_bruteforce(h, f)
+        rng = random.Random(103)
+        for _ in range(10):
+            h = random_hypergraph(rng, 3, 8, p=0.35)
+            assert max_f_free_subset(h, k33).size == max_f_free_bruteforce(h, k33)
 
     def test_capacity(self, k33):
         with pytest.raises(CapacityError):

@@ -36,6 +36,20 @@ class TestHypergraph:
         with pytest.raises(InvalidParameterError):
             Hypergraph(0, 4, ())
 
+    @pytest.mark.parametrize(
+        "r, n, edges",
+        [
+            (3, 4, ((0, 1, 2.5),)),
+            (3, 4, ((0, 2, True),)),
+            (3, 4, ((0, 1, "2"), (0, 1, 3))),
+            (3.0, 4, ((0, 1, 2),)),
+        ],
+        ids=["float-vertex", "bool-vertex", "str-vertex", "float-r"],
+    )
+    def test_rejects_non_int_ids(self, r, n, edges):
+        with pytest.raises(InvalidParameterError):
+            Hypergraph(r, n, edges)
+
     def test_degrees(self, h32):
         assert h32.degrees == (2, 2, 1, 1)
 
