@@ -51,6 +51,23 @@ def _witness_obj(w: ShadowHomWitness | None):
     }
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type for --steps: comma-separated integers (empty parts skipped)."""
+    try:
+        return [int(s) for s in text.split(",") if s != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
+def _rational(text: str) -> str:
+    """argparse type for --c1/--c2: a rational number, kept as typed for the report."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
 def _cmd_shadow(args):
     h = hgio.load_hg(args.file)
     result = {"hypergraph": hgio.to_json_obj(shadow(h, args.k))}
@@ -198,16 +215,15 @@ def _cmd_cover(args):
 def _cmd_extract(args):
     h = hgio.load_hg(args.h_file)
     f = hgio.load_hg(args.f_file)
-    steps = [int(s) for s in args.steps.split(",") if s != ""] if args.steps else []
-    emb = constructions.extract_blowup_copy(h, f, steps)
+    emb = constructions.extract_blowup_copy(h, f, args.steps)
     found = emb is not None
     result = {
         "found": found,
-        "steps": steps,
+        "steps": args.steps,
         "embedding": _embedding_obj(emb),
-        "blowup": hgio.to_json_obj(iterated_blowup(f, steps)) if found else None,
+        "blowup": hgio.to_json_obj(iterated_blowup(f, args.steps)) if found else None,
     }
-    inputs = {"H": args.h_file, "F": args.f_file, "steps": steps}
+    inputs = {"H": args.h_file, "F": args.f_file, "steps": args.steps}
     return (0 if found else 1), inputs, result, None
 
 
@@ -290,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-F", dest="pattern", required=True)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c1", default="1")
-    p.add_argument("--c2", default="1")
+    p.add_argument("--c1", type=_rational, default="1")
+    p.add_argument("--c2", type=_rational, default="1")
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--cert", default=None)
     p.set_defaults(handler=_cmd_construct)
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("h_file")
     p.add_argument("f_file")
-    p.add_argument("--steps", default="")
+    p.add_argument("--steps", type=_int_list, default=[])
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser(

@@ -8,8 +8,8 @@ pattern-free induced subset the corresponding constructions leave behind.
 
 Any maximizer must contain every shadow edge among its covered vertices
 (adding such an edge raises the numerator without changing the denominator),
-so enumerating induced subgraphs over vertex subsets is exact.  The 2^e edge
-subset sweep is kept as an independent brute-force oracle.
+so enumerating the induced subgraphs without isolated vertices is exact.
+The 2^e edge subset sweep is kept as an independent brute-force oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, shadow
-from .isomorphism import canonical_form
+from .isomorphism import _min_edge_list
 
 VERTEX_ENUM_CAP = 16
 SUBSET_ORACLE_CAP = 20
@@ -50,7 +50,8 @@ class DensityReport:
 def _witness_canon(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
     relabel = {v: i for i, v in enumerate(vertices)}
     h = Hypergraph(2, len(vertices), tuple(tuple(relabel[v] for v in e) for e in edges))
-    return canonical_form(h, cap=max(12, h.n))
+    # Not canonical_form: a witness may exceed its cap, but not VERTEX_ENUM_CAP.
+    return _min_edge_list(h, None, stop_on_improve=False)[0]
 
 
 def _densest(f: Hypergraph, offset: int) -> DensityReport:
@@ -65,29 +66,28 @@ def _densest(f: Hypergraph, offset: int) -> DensityReport:
             f"exact enumeration limited to {VERTEX_ENUM_CAP} covered vertices, "
             f"got {len(pool)}"
         )
-    best_value: Fraction | None = None
-    best_key = None
-    best = None
+    nbrs = {v: {u for e in sh.edges if v in e for u in e if u != v} for v in pool}
+    # A vertex set with an isolated vertex has the same edges as the smaller
+    # set those edges cover, so it only repeats that set's witness.  Only the
+    # sets covered by their own shadow edges are visited; each is its witness.
+    scored = []
     for size in range(2, len(pool) + 1):
-        for subset in itertools.combinations(pool, size):
-            inside = set(subset)
-            edges = tuple(e for e in sh.edges if inside.issuperset(e))
-            if not edges:
-                continue
-            covered = tuple(sorted({v for e in edges for v in e}))
-            value = Fraction(len(edges) + offset, len(covered) - 1)
-            if best_value is not None and value < best_value:
-                continue
-            key = (len(covered), _witness_canon(covered, edges), edges)
-            if best_value is None or value > best_value or key < best_key:
-                best_value, best_key, best = value, key, (covered, edges)
-    covered, edges = best
-    return DensityReport(
-        value=best_value,
-        witness_vertices=covered,
-        witness_edges=edges,
-        numerator_offset=offset,
-    )
+        for s in itertools.combinations(pool, size):
+            inside = set(s)
+            degrees = [len(nbrs[v] & inside) for v in s]
+            if all(degrees):
+                scored.append((Fraction(sum(degrees) // 2 + offset, size - 1), -size, s))
+    # Maximum value, then fewest vertices, then the least (canonical form,
+    # edge list), which is computed only for witnesses still tied.
+    top = max(key[:2] for key in scored)
+    tied = [
+        (s, tuple(e for e in sh.edges if e[0] in s and e[1] in s))
+        for value, neg_size, s in scored if (value, neg_size) == top
+    ]
+    if len(tied) > 1:
+        tied.sort(key=lambda w: (_witness_canon(*w), w[1]))
+    vertices, edges = tied[0]
+    return DensityReport(top[0], vertices, edges, offset)
 
 
 def alpha(f: Hypergraph) -> DensityReport:

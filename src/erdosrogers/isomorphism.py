@@ -251,24 +251,22 @@ def _min_edge_list(
     return state["best"], state["improved"]
 
 
-def canonical_form(h: Hypergraph, cap: int = CANONICAL_CAP) -> tuple[tuple[int, ...], ...]:
+def canonical_form(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """Lexicographically minimal edge list of h over all vertex relabelings.
 
     Two hypergraphs with the same r and n are isomorphic iff their canonical
-    forms are equal.  Exact but exponential; refuses n above `cap`.
+    forms are equal.  Exact but exponential; refuses n above CANONICAL_CAP.
     """
-    if h.n > cap:
-        raise CapacityError(f"canonical form limited to n <= {cap}, got {h.n}")
+    if h.n > CANONICAL_CAP:
+        raise CapacityError(f"canonical form limited to n <= {CANONICAL_CAP}, got {h.n}")
     best, _ = _min_edge_list(h, None, stop_on_improve=False)
     return best
 
 
-def is_canonical(h: Hypergraph, cap: int = CANONICAL_CAP) -> bool:
+def is_canonical(h: Hypergraph) -> bool:
     """True iff h's own edge list is already its canonical form."""
-    if h.n > cap:
-        raise CapacityError(f"canonical form limited to n <= {cap}, got {h.n}")
-    if not h.edges:
-        return True
+    if h.n > CANONICAL_CAP:
+        raise CapacityError(f"canonical form limited to n <= {CANONICAL_CAP}, got {h.n}")
     _, improved = _min_edge_list(h, h.edges, stop_on_improve=True)
     return not improved
 

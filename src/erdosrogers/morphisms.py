@@ -20,6 +20,7 @@ is a homomorphism restricted to those vertices.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -230,32 +231,36 @@ def verify_shadow_hom(
 def is_k_tightly_connected(g: Hypergraph, k: int) -> Optional[TightOrder]:
     """Greedy witness order, or None if the edge-intersection graph is disconnected.
 
-    A hypergraph with no edges is defined not tightly connected; a single edge
+    Starting from the first edge, each step takes the lowest-index unused edge
+    that meets a used edge in >= k vertices, i.e. shares a k-set with it.  A
+    heap holds these frontier edges; each k-set's edges join it once.  A
+    hypergraph with no edges is defined not tightly connected; a single edge
     is (the ordering condition is vacuous).
     """
     if k < 1 or k > g.r:
         raise InvalidParameterError(f"connectivity order must be in 1..{g.r}, got {k}")
     if not g.edges:
         return None
-    edges = list(g.edges)
+    edges = g.edges
+    by_kset: dict[tuple[int, ...], list[int]] = {}
+    for i, e in enumerate(edges):
+        for s in itertools.combinations(e, k):
+            by_kset.setdefault(s, []).append(i)
     used = [False] * len(edges)
-    used[0] = True
-    order = [edges[0]]
-    sets = [set(e) for e in edges]
-    for _ in range(len(edges) - 1):
-        found = -1
-        for i, e in enumerate(edges):
-            if used[i]:
-                continue
-            if any(
-                len(sets[i] & sets[j]) >= k for j, u in enumerate(used) if u
-            ):
-                found = i
-                break
-        if found < 0:
-            return None
-        used[found] = True
-        order.append(edges[found])
+    frontier = [0]
+    order = []
+    while frontier:
+        i = heapq.heappop(frontier)
+        if used[i]:
+            continue
+        used[i] = True
+        order.append(edges[i])
+        for s in itertools.combinations(edges[i], k):
+            for j in by_kset.pop(s, ()):
+                if not used[j]:
+                    heapq.heappush(frontier, j)
+    if len(order) < len(edges):
+        return None
     return TightOrder(tuple(order))
 
 

@@ -169,6 +169,24 @@ def test_missing_file_exit_2(files, capsys):
     assert "missing.hg" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "k312", "k33", "--steps", "0,x"],
+        ["construct", "coloring", "-n", "8", "-F", "k33", "--seed", "1", "--c1", "abc"],
+        ["construct", "coloring", "-n", "8", "-F", "k33", "--seed", "1", "--c1", "1/0"],
+        ["construct", "coloring", "-n", "8", "-F", "k33", "--seed", "1", "--c1", "nan"],
+    ],
+    ids=["steps-not-int", "c1-not-rational", "c1-zero-denominator", "c1-nan"],
+)
+def test_malformed_argument_exit_2(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyError])
 def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
     def boom(args):

@@ -1,5 +1,6 @@
 """Density exponents against the 2^e subset sweep oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,10 +12,11 @@ from erdosrogers import (
     alpha,
     beta,
     build_complete,
+    build_h,
     check_concluding_condition,
 )
 from erdosrogers.exponents import max_density_bruteforce
-from conftest import random_hypergraph
+from conftest import oracle_canonical, random_hypergraph
 
 
 def loose_tail(base: Hypergraph, joints: int) -> Hypergraph:
@@ -27,6 +29,30 @@ def loose_tail(base: Hypergraph, joints: int) -> Hypergraph:
         anchor = nxt + 1
         nxt += 2
     return Hypergraph(3, nxt, tuple(edges))
+
+
+def oracle_witness(f: Hypergraph, offset: int):
+    """Brute-force (value, witness vertices, witness edges): sweep every
+    nonempty edge subset of the 2-shadow and take the maximum value, then the
+    fewest covered vertices, then the least canonical form of the witness
+    relabeled to 0..v'-1, then the least edge list."""
+    pairs = sorted({p for e in f.edges for p in itertools.combinations(e, 2)})
+    scored = []
+    for mask in range(1, 1 << len(pairs)):
+        chosen = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+        covered = tuple(sorted({v for e in chosen for v in e}))
+        value = Fraction(len(chosen) + offset, len(covered) - 1)
+        scored.append(((value, -len(covered)), covered, chosen))
+    top = max(key for key, _, _ in scored)
+
+    def tie_key(witness):
+        covered, chosen = witness
+        relabel = {v: i for i, v in enumerate(covered)}
+        h = Hypergraph(2, len(covered), tuple(tuple(relabel[v] for v in e) for e in chosen))
+        return oracle_canonical(h), chosen
+
+    covered, chosen = min(((c, e) for key, c, e in scored if key == top), key=tie_key)
+    return top[0], covered, chosen
 
 
 class TestGoldenValues:
@@ -63,6 +89,29 @@ class TestWitnesses:
                 rep = fn(f)
                 assert rep.recompute() == rep.value
                 assert len(rep.witness_edges) >= 1
+
+    @pytest.mark.parametrize("fn, offset", [(alpha, 1), (beta, 0)])
+    def test_witness_matches_oracle(self, fn, offset):
+        rng = random.Random(83)
+        cases = [
+            build_complete(3, 4),
+            build_h(3, 2),
+            Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
+            # Two non-isomorphic components, each a beta witness of value 7/4
+            # on 5 vertices: only the canonical form picks the second one.
+            Hypergraph(2, 10, (
+                (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                (5, 8), (5, 9), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
+            )),
+        ] + [
+            random_hypergraph(rng, 3, rng.randint(3, 6), p=0.35, ensure_edge=True)
+            for _ in range(30)
+        ]
+        for f in cases:
+            rep = fn(f)
+            assert (rep.value, rep.witness_vertices, rep.witness_edges) == oracle_witness(
+                f, offset
+            )
 
     def test_tie_break_prefers_fewest_vertices(self, k33):
         rep = alpha(k33)

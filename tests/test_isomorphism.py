@@ -18,6 +18,7 @@ from erdosrogers import (
     is_embedding,
     is_isomorphic,
 )
+from erdosrogers.isomorphism import is_canonical
 from conftest import oracle_canonical, oracle_embedding_count, random_hypergraph, relabeled
 
 
@@ -118,6 +119,8 @@ class TestCanonicalForm:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             canonical_form(Hypergraph(3, 13, ()))
+        with pytest.raises(CapacityError):
+            is_canonical(Hypergraph(3, 13, ()))
 
     def test_is_isomorphic(self, h32, k34):
         assert is_isomorphic(relabeled(h32, [3, 1, 0, 2]), h32)

@@ -1,7 +1,9 @@
 """Homomorphism and shadow-homomorphism deciders, tight connectivity, and
 bounded iterated-blowup membership, cross-checked against sweep oracles."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -24,11 +26,29 @@ from conftest import (
     oracle_has_hom,
     oracle_has_shadow_hom,
     random_hypergraph,
+    relabeled,
 )
 
 
 def tight_path(m):
     return Hypergraph(3, m + 2, tuple((i, i + 1, i + 2) for i in range(m)))
+
+
+def greedy_tight_order(g, k):
+    """Oracle: repeatedly take the lowest-index unused edge that meets some
+    used edge in >= k vertices, rescanning everything at every step."""
+    if not g.edges:
+        return None
+    order, rest = [g.edges[0]], list(g.edges[1:])
+    while rest:
+        nxt = next(
+            (e for e in rest if any(len(set(e) & set(u)) >= k for u in order)), None
+        )
+        if nxt is None:
+            return None
+        order.append(nxt)
+        rest.remove(nxt)
+    return tuple(order)
 
 
 class TestFindHomomorphism:
@@ -222,6 +242,30 @@ class TestTightConnectivity:
 
     def test_edgeless(self):
         assert is_k_tightly_connected(Hypergraph(3, 4, ()), 1) is None
+
+    def test_order_matches_greedy_oracle(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            r = rng.choice((2, 3, 4))
+            g = random_hypergraph(rng, r, rng.randint(r, 8), p=rng.choice((0.1, 0.3, 0.6)))
+            for k in range(1, r + 1):
+                order = is_k_tightly_connected(g, k)
+                assert (order and order.order) == greedy_tight_order(g, k)
+
+    def test_long_relabeled_tight_path(self):
+        perm = list(range(1102))
+        random.Random(61).shuffle(perm)
+        g = relabeled(tight_path(1100), perm)
+        start = time.perf_counter()
+        order = is_k_tightly_connected(g, 2)
+        assert time.perf_counter() - start < 1.0
+        assert sorted(order.order) == list(g.edges)
+        # Each edge meets an earlier one in >= 2 vertices: it shares a pair.
+        seen = set(itertools.combinations(order.order[0], 2))
+        for e in order.order[1:]:
+            pairs = set(itertools.combinations(e, 2))
+            assert pairs & seen
+            seen |= pairs
 
     def test_orders_valid_on_random_inputs(self):
         rng = random.Random(53)
