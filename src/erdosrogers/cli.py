@@ -60,7 +60,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _rational(text: str) -> str:
-    """argparse type for --c1/--c2: a rational number, kept as typed for the report."""
+    """argparse type for --c1: a rational number, kept as typed for the report."""
     try:
         Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -68,60 +68,47 @@ def _rational(text: str) -> str:
     return text
 
 
+# Parsed arguments that the report does not echo as inputs: argparse and
+# dispatch bookkeeping, the ignored --threads, the seed (a top-level key of its
+# own) and the output paths (echoed in the result).
+_NOT_ECHOED = {"command", "handler", "exponent", "threads", "seed", "out", "cert"}
+
+
 def _cmd_shadow(args):
-    h = hgio.load_hg(args.file)
-    result = {"hypergraph": hgio.to_json_obj(shadow(h, args.k))}
-    return 0, {"file": args.file, "k": args.k}, result, None
+    return {"hypergraph": hgio.to_json_obj(shadow(hgio.load_hg(args.file), args.k))}
 
 
 def _cmd_hom(args):
-    g = hgio.load_hg(args.g_file)
-    f = hgio.load_hg(args.f_file)
-    witness = morphisms.find_homomorphism(g, f)
-    found = witness is not None
-    result = {
-        "found": found,
-        "witness": None if witness is None else {"images": list(witness.images)},
-    }
-    return (0 if found else 1), {"G": args.g_file, "F": args.f_file}, result, None
+    witness = morphisms.find_homomorphism(hgio.load_hg(args.G), hgio.load_hg(args.F))
+    return {"found": witness is not None, "witness": _embedding_obj(witness)}
 
 
 def _cmd_shadow_hom(args):
-    g = hgio.load_hg(args.g_file)
-    f = hgio.load_hg(args.f_file)
+    g, f = hgio.load_hg(args.G), hgio.load_hg(args.F)
     witness = morphisms.find_shadow_homomorphism(g, f, args.k)
-    found = witness is not None
-    result = {"found": found, "witness": _witness_obj(witness)}
-    inputs = {"G": args.g_file, "F": args.f_file, "k": args.k}
-    return (0 if found else 1), inputs, result, None
+    return {"found": witness is not None, "witness": _witness_obj(witness)}
 
 
 def _cmd_tight(args):
-    g = hgio.load_hg(args.g_file)
-    order = morphisms.is_k_tightly_connected(g, args.k)
-    found = order is not None
-    result = {
-        "found": found,
+    order = morphisms.is_k_tightly_connected(hgio.load_hg(args.G), args.k)
+    return {
+        "found": order is not None,
         "order": None if order is None else [list(e) for e in order.order],
     }
-    return (0 if found else 1), {"G": args.g_file, "k": args.k}, result, None
 
 
 def _cmd_blowup_member(args):
-    g = hgio.load_hg(args.g_file)
-    f = hgio.load_hg(args.f_file)
+    g, f = hgio.load_hg(args.G), hgio.load_hg(args.F)
     cert = morphisms.is_sub_iterated_blowup(g, f, args.max_steps)
-    found = cert is not None
-    result = {
-        "found": found,
+    return {
+        "found": cert is not None,
         "steps": None if cert is None else list(cert.steps),
         "embedding": _embedding_obj(cert.embedding if cert else None),
     }
-    inputs = {"G": args.g_file, "F": args.f_file, "max_steps": args.max_steps}
-    return (0 if found else 1), inputs, result, None
 
 
-def _density_result(report) -> dict:
+def _cmd_density(args):
+    report = args.exponent(hgio.load_hg(args.F))
     return {
         "value": _fraction_str(report.value),
         "witness_vertices": list(report.witness_vertices),
@@ -130,21 +117,9 @@ def _density_result(report) -> dict:
     }
 
 
-def _cmd_alpha(args):
-    f = hgio.load_hg(args.f_file)
-    return 0, {"F": args.f_file}, _density_result(exponents.alpha(f)), None
-
-
-def _cmd_beta(args):
-    f = hgio.load_hg(args.f_file)
-    return 0, {"F": args.f_file}, _density_result(exponents.beta(f)), None
-
-
 def _cmd_construct(args):
-    f = hgio.load_hg(args.pattern)
-    params = constructions.ConstructionParams(
-        c1=Fraction(args.c1), c2=Fraction(args.c2), seed=args.seed
-    )
+    f = hgio.load_hg(args.F)
+    params = constructions.ConstructionParams(c1=Fraction(args.c1), seed=args.seed)
     if args.mode == "coloring":
         h, cert = constructions.construct_coloring(args.n, f, params)
         cert_obj = constructions.pair_coloring_to_json(cert)
@@ -161,7 +136,7 @@ def _cmd_construct(args):
         with open(args.cert, "w") as fobj:
             json.dump(cert_obj, fobj, indent=2)
             fobj.write("\n")
-    result = {
+    return {
         "mode": args.mode,
         "hypergraph": hgio.to_json_obj(h),
         "edge_count": len(h.edges),
@@ -169,81 +144,51 @@ def _cmd_construct(args):
         "certificate_file": args.cert,
         **extra,
     }
-    inputs = {
-        "mode": args.mode,
-        "n": args.n,
-        "F": args.pattern,
-        "k": args.k,
-        "c1": args.c1,
-        "c2": args.c2,
-    }
-    return 0, inputs, result, args.seed
 
 
 def _cmd_verify_gfree(args):
-    h = hgio.load_hg(args.h_file)
-    g = hgio.load_hg(args.g_file)
-    violation = constructions.verify_g_free(h, g)
-    g_free = violation is None
-    result = {"g_free": g_free, "violation": _embedding_obj(violation)}
-    return (0 if g_free else 1), {"H": args.h_file, "G": args.g_file}, result, None
+    violation = constructions.verify_g_free(hgio.load_hg(args.H), hgio.load_hg(args.G))
+    return {"g_free": violation is None, "violation": _embedding_obj(violation)}
 
 
 def _cmd_cover(args):
-    h = hgio.load_hg(args.h_file)
-    f = hgio.load_hg(args.f_file)
+    h, f = hgio.load_hg(args.H), hgio.load_hg(args.F)
     est = constructions.estimate_f_cover(
         h, f, args.w, args.trials, args.seed, exhaustive=args.exhaustive
     )
-    result = {
+    return {
         "fraction": est.fraction,
         "half_width": est.half_width,
         "hits": est.hits,
         "trials": est.trials,
         "exhaustive": est.exhaustive,
     }
-    inputs = {
-        "H": args.h_file,
-        "F": args.f_file,
-        "w": args.w,
-        "trials": args.trials,
-        "exhaustive": args.exhaustive,
-    }
-    return 0, inputs, result, args.seed
 
 
 def _cmd_extract(args):
-    h = hgio.load_hg(args.h_file)
-    f = hgio.load_hg(args.f_file)
+    h, f = hgio.load_hg(args.H), hgio.load_hg(args.F)
     emb = constructions.extract_blowup_copy(h, f, args.steps)
     found = emb is not None
-    result = {
+    return {
         "found": found,
         "steps": args.steps,
         "embedding": _embedding_obj(emb),
         "blowup": hgio.to_json_obj(iterated_blowup(f, args.steps)) if found else None,
     }
-    inputs = {"H": args.h_file, "F": args.f_file, "steps": args.steps}
-    return (0 if found else 1), inputs, result, None
 
 
 def _cmd_maxfree(args):
-    h = hgio.load_hg(args.h_file)
-    f = hgio.load_hg(args.f_file)
-    res = exact.max_f_free_subset(h, f)
-    result = {"size": res.size, "witness": list(res.witness)}
-    return 0, {"H": args.h_file, "F": args.f_file}, result, None
+    res = exact.max_f_free_subset(hgio.load_hg(args.H), hgio.load_hg(args.F))
+    return {"size": res.size, "witness": list(res.witness)}
 
 
 def _cmd_f_exact(args):
-    f = hgio.load_hg(args.f_file)
-    g = hgio.load_hg(args.g_file)
-    res = exact.f_exact(f, g, args.n)
-    result = {"value": res.value, "extremal": hgio.to_json_obj(res.extremal)}
-    return 0, {"F": args.f_file, "G": args.g_file, "n": args.n}, result, None
+    res = exact.f_exact(hgio.load_hg(args.F), hgio.load_hg(args.G), args.n)
+    return {"value": res.value, "extremal": hgio.to_json_obj(res.extremal)}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The erog parser.  Positional and option dests are the report's input keys."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
@@ -263,20 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_shadow)
 
     p = sub.add_parser("hom", parents=[common], help="homomorphism from G to F")
-    p.add_argument("g_file")
-    p.add_argument("f_file")
+    p.add_argument("G")
+    p.add_argument("F")
     p.set_defaults(handler=_cmd_hom)
 
     p = sub.add_parser(
         "shadow-hom", parents=[common], help="k-shadow-homomorphism from G to F"
     )
-    p.add_argument("g_file")
-    p.add_argument("f_file")
+    p.add_argument("G")
+    p.add_argument("F")
     p.add_argument("-k", type=int, required=True)
     p.set_defaults(handler=_cmd_shadow_hom)
 
     p = sub.add_parser("tight", parents=[common], help="k-tight connectivity of G")
-    p.add_argument("g_file")
+    p.add_argument("G")
     p.add_argument("-k", type=int, required=True)
     p.set_defaults(handler=_cmd_tight)
 
@@ -285,29 +230,28 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="is G a subgraph of an F-iterated blowup (bounded depth)",
     )
-    p.add_argument("g_file")
-    p.add_argument("f_file")
+    p.add_argument("G")
+    p.add_argument("F")
     p.add_argument("--max-steps", type=int, default=4)
     p.set_defaults(handler=_cmd_blowup_member)
 
     p = sub.add_parser("alpha", parents=[common], help="offset-1 density exponent")
-    p.add_argument("f_file")
-    p.set_defaults(handler=_cmd_alpha)
+    p.add_argument("F")
+    p.set_defaults(handler=_cmd_density, exponent=exponents.alpha)
 
     p = sub.add_parser("beta", parents=[common], help="offset-0 density exponent")
-    p.add_argument("f_file")
-    p.set_defaults(handler=_cmd_beta)
+    p.add_argument("F")
+    p.set_defaults(handler=_cmd_density, exponent=exponents.beta)
 
     p = sub.add_parser(
         "construct", parents=[common], help="seeded randomized constructions"
     )
     p.add_argument("mode", choices=["coloring", "labeling"])
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-F", dest="pattern", required=True)
+    p.add_argument("-F", required=True)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c1", type=_rational, default="1")
-    p.add_argument("--c2", type=_rational, default="1")
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--cert", default=None)
     p.set_defaults(handler=_cmd_construct)
@@ -315,15 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-gfree", parents=[common], help="exhaustive G-freeness check of H"
     )
-    p.add_argument("h_file")
-    p.add_argument("g_file")
+    p.add_argument("H")
+    p.add_argument("G")
     p.set_defaults(handler=_cmd_verify_gfree)
 
     p = sub.add_parser(
         "cover", parents=[common], help="fraction of w-subsets of H containing F"
     )
-    p.add_argument("h_file")
-    p.add_argument("f_file")
+    p.add_argument("H")
+    p.add_argument("F")
     p.add_argument("-w", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
@@ -333,23 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "extract", parents=[common], help="extract an iterated-blowup copy from H"
     )
-    p.add_argument("h_file")
-    p.add_argument("f_file")
+    p.add_argument("H")
+    p.add_argument("F")
     p.add_argument("--steps", type=_int_list, default=[])
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser(
         "maxfree", parents=[common], help="maximum F-free induced subset of H"
     )
-    p.add_argument("h_file")
-    p.add_argument("f_file")
+    p.add_argument("H")
+    p.add_argument("F")
     p.set_defaults(handler=_cmd_maxfree)
 
     p = sub.add_parser(
         "f-exact", parents=[common], help="exact extremal value at tiny n"
     )
-    p.add_argument("f_file")
-    p.add_argument("g_file")
+    p.add_argument("F")
+    p.add_argument("G")
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(handler=_cmd_f_exact)
 
@@ -365,7 +309,7 @@ def run(argv=None) -> int:
         return code
     start = time.perf_counter()
     try:
-        code, inputs, result, seed = args.handler(args)
+        result = args.handler(args)
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -376,12 +320,14 @@ def run(argv=None) -> int:
         # Exit 1 means "decided false", so a crash must not fall through to it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     report = {"command": args.command, "inputs": inputs, "result": result}
-    if seed is not None:
-        report["seed"] = seed
+    if "seed" in args:
+        report["seed"] = args.seed
     report["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     print(json.dumps(report, indent=2))
-    return code
+    # Decision commands answer in "found" (verify-gfree: "g_free"); 1 is "false".
+    return 0 if result.get("found", result.get("g_free", True)) else 1
 
 
 def main() -> None:

@@ -41,23 +41,18 @@ EXHAUSTIVE_COVER_CAP = 10**6
 class ConstructionParams:
     """Tunable constants and the seed for the randomized constructions.
 
-    c1 scales the color count ell = max(1, round(c1 * ln n)); c2 is the
-    analogous scale for cover widths derived via :meth:`cover_width`.
+    c1 scales the color count ell = max(1, round(c1 * ln n)).
     """
 
     c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(1)
     seed: int = 0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise InvalidParameterError("c1 and c2 must be positive")
+        if self.c1 <= 0:
+            raise InvalidParameterError("c1 must be positive")
 
     def num_colors(self, n: int) -> int:
         return max(1, round(float(self.c1) * math.log(n)))
-
-    def cover_width(self, n: int, exponent: float) -> int:
-        return max(1, round(float(self.c2) * math.log(n) ** float(exponent)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, induced
-from .isomorphism import _iter_maps, contains_copy, is_canonical
+from .isomorphism import CANONICAL_CAP, _iter_maps, contains_copy, is_canonical
 
 BRANCH_AND_BOUND_CAP = 24
 BRUTEFORCE_CAP = 16
@@ -114,12 +114,16 @@ def enumerate_g_free(n: int, r: int, g: Hypergraph) -> Iterator[Hypergraph]:
     Orderly generation: edges are added in lexicographic order and a state is
     kept only when its own edge list is canonical, so every class appears
     exactly once (prefixes of canonical lists are canonical).  Branches whose
-    state already contains g are cut.  Deterministic yield order.
+    state already contains g are cut.  Deterministic yield order.  Refuses
+    n above CANONICAL_CAP (the canonical check's bound) and C(n, r) above
+    ENUMERATION_CAP.
     """
     if g.r != r:
         raise InvalidParameterError(f"uniformity mismatch: {r} vs {g.r}")
     if n < 0:
         raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
+    if n > CANONICAL_CAP:
+        raise CapacityError(f"enumeration limited to n <= {CANONICAL_CAP}, got {n}")
     if math.comb(n, r) > ENUMERATION_CAP:
         raise CapacityError(
             f"enumeration limited to C(n, r) <= {ENUMERATION_CAP}, got {math.comb(n, r)}"

@@ -80,8 +80,14 @@ def save_hg(h: Hypergraph, path: str) -> None:
 
 
 def load_hg(path: str) -> Hypergraph:
-    with open(path) as f:
-        text = f.read()
+    """Read a .hg file (or .json by name); input that is not UTF-8 is malformed."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise HgFormatError(line, f"not UTF-8: {exc.reason}")
     if path.endswith(".json"):
         try:
             obj = json.loads(text)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report structure, file round-trips, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,16 +12,24 @@ from erdosrogers.hgio import load_hg, save_hg
 from conftest import tight_c5_minus_edge
 
 
+HOSTS = {
+    "k33": build_complete(3, 3),
+    "k34": build_complete(3, 4),
+    "h32": build_h(3, 2),
+    "tc5": tight_c5_minus_edge(),
+    "k312": build_complete(3, 12),
+    "m2": Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
+}
+
+# Per invocation: argv (paths relative to the directory holding HOSTS), the
+# exit code, and the whole report without wall_time_ms (null: no report).
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, h in {
-        "k33": build_complete(3, 3),
-        "k34": build_complete(3, 4),
-        "h32": build_h(3, 2),
-        "tc5": tight_c5_minus_edge(),
-        "k312": build_complete(3, 12),
-    }.items():
+    for name, h in HOSTS.items():
         path = str(tmp_path / f"{name}.hg")
         save_hg(h, path)
         paths[name] = path
@@ -137,6 +146,18 @@ def test_f_exact(files, capsys):
     assert code == 0 and report["result"]["value"] == 3
 
 
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_report(files, capsys, monkeypatch, case):
+    monkeypatch.chdir(files["dir"])
+    code, report = run_json(capsys, case["argv"])
+    if report is not None:
+        assert report.pop("wall_time_ms") >= 0
+    assert code == case["code"]
+    assert report == case["report"]
+    # key order too: the report's keys, the inputs echo and every nested object
+    assert json.dumps(report) == json.dumps(case["report"])
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["shadow"]) == 2
     capsys.readouterr()
@@ -159,6 +180,17 @@ def test_non_integer_json_vertex_exit_2(tmp_path, capsys):
         json.dump({"r": 3, "n": 4, "edges": [[0, 1, 2.5]]}, fobj)
     assert run(["shadow", bad, "-k", "2"]) == 2
     assert "2.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".hg", ".json"])
+def test_non_utf8_file_exit_2(tmp_path, capsys, suffix):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(b"3 4\n\xff\xfe\n")
+    assert run(["shadow", str(bad), "-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: not UTF-8")
+    assert captured.err.count("\n") == 1
 
 
 def test_missing_file_exit_2(files, capsys):

@@ -139,6 +139,13 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             list(enumerate_g_free(9, 3, k33))
 
+    @pytest.mark.parametrize("r", [1, 12])
+    def test_vertex_capacity(self, r):
+        # C(13, r) = 13 is within the C(n, r) bound; the 12-vertex bound of
+        # the canonical check must still refuse, naming the enumeration.
+        with pytest.raises(CapacityError, match="enumeration limited to n <= 12"):
+            list(enumerate_g_free(13, r, build_complete(r, r + 1)))
+
 
 class TestFExact:
     def test_golden_value_n4(self, k33, k34):
