@@ -16,6 +16,7 @@ Results are bit-reproducible: re-running a command with the echoed inputs
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -71,7 +72,7 @@ def _rational(text: str) -> str:
 # Parsed arguments that the report does not echo as inputs: argparse and
 # dispatch bookkeeping, the ignored --threads, the seed (a top-level key of its
 # own) and the output paths (echoed in the result).
-_NOT_ECHOED = {"command", "handler", "exponent", "threads", "seed", "out", "cert"}
+_NOT_ECHOED = {"command", "exponent", "threads", "seed", "out", "cert"}
 
 
 def _cmd_shadow(args):
@@ -187,8 +188,30 @@ def _cmd_f_exact(args):
     return {"value": res.value, "extremal": hgio.to_json_obj(res.extremal)}
 
 
+# Subcommand name -> handler; run() dispatches through this table.
+_HANDLERS = {
+    "shadow": _cmd_shadow,
+    "hom": _cmd_hom,
+    "shadow-hom": _cmd_shadow_hom,
+    "tight": _cmd_tight,
+    "blowup-member": _cmd_blowup_member,
+    "alpha": _cmd_density,
+    "beta": _cmd_density,
+    "construct": _cmd_construct,
+    "verify-gfree": _cmd_verify_gfree,
+    "cover": _cmd_cover,
+    "extract": _cmd_extract,
+    "maxfree": _cmd_maxfree,
+    "f-exact": _cmd_f_exact,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The erog parser.  Positional and option dests are the report's input keys."""
+    """The erog parser, built once per process and shared by every run().
+
+    Positional and option dests are the report's input keys.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
@@ -205,12 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow", parents=[common], help="k-shadow of a hypergraph")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
-    p.set_defaults(handler=_cmd_shadow)
 
     p = sub.add_parser("hom", parents=[common], help="homomorphism from G to F")
     p.add_argument("G")
     p.add_argument("F")
-    p.set_defaults(handler=_cmd_hom)
 
     p = sub.add_parser(
         "shadow-hom", parents=[common], help="k-shadow-homomorphism from G to F"
@@ -218,12 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("G")
     p.add_argument("F")
     p.add_argument("-k", type=int, required=True)
-    p.set_defaults(handler=_cmd_shadow_hom)
 
     p = sub.add_parser("tight", parents=[common], help="k-tight connectivity of G")
     p.add_argument("G")
     p.add_argument("-k", type=int, required=True)
-    p.set_defaults(handler=_cmd_tight)
 
     p = sub.add_parser(
         "blowup-member",
@@ -233,15 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("G")
     p.add_argument("F")
     p.add_argument("--max-steps", type=int, default=4)
-    p.set_defaults(handler=_cmd_blowup_member)
 
     p = sub.add_parser("alpha", parents=[common], help="offset-1 density exponent")
     p.add_argument("F")
-    p.set_defaults(handler=_cmd_density, exponent=exponents.alpha)
+    p.set_defaults(exponent=exponents.alpha)
 
     p = sub.add_parser("beta", parents=[common], help="offset-0 density exponent")
     p.add_argument("F")
-    p.set_defaults(handler=_cmd_density, exponent=exponents.beta)
+    p.set_defaults(exponent=exponents.beta)
 
     p = sub.add_parser(
         "construct", parents=[common], help="seeded randomized constructions"
@@ -254,14 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=_rational, default="1")
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--cert", default=None)
-    p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser(
         "verify-gfree", parents=[common], help="exhaustive G-freeness check of H"
     )
     p.add_argument("H")
     p.add_argument("G")
-    p.set_defaults(handler=_cmd_verify_gfree)
 
     p = sub.add_parser(
         "cover", parents=[common], help="fraction of w-subsets of H containing F"
@@ -272,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser(
         "extract", parents=[common], help="extract an iterated-blowup copy from H"
@@ -280,14 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("H")
     p.add_argument("F")
     p.add_argument("--steps", type=_int_list, default=[])
-    p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser(
         "maxfree", parents=[common], help="maximum F-free induced subset of H"
     )
     p.add_argument("H")
     p.add_argument("F")
-    p.set_defaults(handler=_cmd_maxfree)
 
     p = sub.add_parser(
         "f-exact", parents=[common], help="exact extremal value at tiny n"
@@ -295,21 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("F")
     p.add_argument("G")
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_f_exact)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     start = time.perf_counter()
     try:
-        result = args.handler(args)
+        result = _HANDLERS[args.command](args)
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

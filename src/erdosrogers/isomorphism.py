@@ -52,6 +52,15 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
     )
 
 
+def _links(h: Hypergraph) -> dict[tuple[int, ...], set[int]]:
+    """Each (r-1)-set inside an edge, mapped to the vertices completing it."""
+    links: dict[tuple[int, ...], set[int]] = {}
+    for e in h.edges:
+        for i in range(h.r):
+            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+    return links
+
+
 def _iter_maps(
     pattern: Hypergraph, host: Hypergraph, injective: bool
 ) -> Iterator[tuple[int, ...]]:
@@ -110,10 +119,7 @@ def _iter_maps(
     for e in pattern.edges:
         last = max(e, key=pos.__getitem__)
         checks[pos[last]].append(tuple(u for u in e if u != last))
-    links: dict[tuple[int, ...], set[int]] = {}
-    for e in host.edges:
-        for i in range(r):
-            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+    links = _links(host)
     images = [-1] * n
     used = [False] * host.n
 
@@ -193,28 +199,47 @@ def _min_edge_list(
     the optimistic completion (smallest conceivable remaining edges) gives an
     admissible bound, and branches that cannot strictly beat the incumbent
     are cut.  Returns (best, improved_over_initial_incumbent).
+
+    First-block rule.  Let c* be the largest codegree of an (r-1)-set.  The
+    edges through {0..r-2} come first in any sorted edge list, and the least
+    such block is (0..r-2, r-1), ..., (0..r-2, r-2+c*): a labeling whose block
+    skips a label loses at the first skipped position, and one whose block is
+    shorter loses at the position after it, where the least list still has an
+    edge through {0..r-2}.  So every minimizing labeling gives labels 0..r-2 to
+    an (r-1)-set of codegree c* and labels r-1..r-2+c* to its link, and only
+    such vertices are tried at those depths.  This cuts no minimizer, so the
+    result is exact.
     """
-    n, m = h.n, len(h.edges)
+    n, m, r = h.n, len(h.edges), h.r
     if m == 0:
         return (), incumbent is not None and () < incumbent
-    rsets = list(itertools.combinations(range(n), h.r))
+    links = _links(h)
+    top = max(map(len, links.values()))
+    heads = [set(s) for s, link in links.items() if len(link) == top]
+    rsets = list(itertools.combinations(range(n), r))
+    # fresh[k]: in sorted order, the r-sets that can still appear once labels
+    # 0..k-1 are given, i.e. those reaching label k or above.
+    fresh = [[s for s in rsets if s[-1] >= k] for k in range(n + 1)]
     edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for e in h.edges:
         for v in e:
             edges_at[v].append(e)
     deg = h.degrees
     label: list[Optional[int]] = [None] * n
+    labeled: list[int] = []
+    # Labeled vertices per edge: an unlabeled v completes e when r-1 are.
+    done = dict.fromkeys(h.edges, 0)
     state = {"best": incumbent, "improved": False}
 
+    def allowed(k: int) -> Iterable[int]:
+        if k < r - 1:
+            return set().union(*(s for s in heads if s.issuperset(labeled)))
+        if k < r - 1 + top:
+            return links[tuple(sorted(labeled[: r - 1]))]
+        return range(n)
+
     def optimistic(det: list[tuple[int, ...]], k: int) -> tuple:
-        need = m - len(det)
-        extras = []
-        for s in rsets:
-            if len(extras) == need:
-                break
-            if s[-1] >= k:
-                extras.append(s)
-        return tuple(sorted(det + extras))
+        return tuple(sorted(det + fresh[k][: m - len(det)]))
 
     def rec(k: int, det: list[tuple[int, ...]]):
         if stop_on_improve and state["improved"]:
@@ -229,20 +254,22 @@ def _min_edge_list(
         if best is not None and optimistic(det, k) >= best:
             return
         cands = []
-        for v in range(n):
+        for v in allowed(k):
             if label[v] is not None:
                 continue
-            newly = [
-                e
-                for e in edges_at[v]
-                if all(u == v or label[u] is not None for u in e)
-            ]
+            newly = [e for e in edges_at[v] if done[e] == r - 1]
             cands.append((-len(newly), -deg[v], v, newly))
         cands.sort()
         for _, _, v, newly in cands:
             label[v] = k
-            images = [tuple(sorted(label[u] for u in e)) for e in newly]
+            labeled.append(v)
+            for e in edges_at[v]:
+                done[e] += 1
+            images = [tuple(sorted([label[u] for u in e])) for e in newly]
             rec(k + 1, det + images)
+            for e in edges_at[v]:
+                done[e] -= 1
+            labeled.pop()
             label[v] = None
             if stop_on_improve and state["improved"]:
                 return
@@ -267,6 +294,13 @@ def is_canonical(h: Hypergraph) -> bool:
     """True iff h's own edge list is already its canonical form."""
     if h.n > CANONICAL_CAP:
         raise CapacityError(f"canonical form limited to n <= {CANONICAL_CAP}, got {h.n}")
+    if h.edges:
+        # The canonical form's edges through 0..r-2 end in r-1..r-2+c*, where
+        # c* is the largest codegree (first-block rule, see _min_edge_list).
+        links = _links(h)
+        top = max(map(len, links.values()))
+        if links.get(tuple(range(h.r - 1))) != set(range(h.r - 1, h.r - 1 + top)):
+            return False
     _, improved = _min_edge_list(h, h.edges, stop_on_improve=True)
     return not improved
 

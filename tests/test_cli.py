@@ -224,7 +224,7 @@ def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
     def boom(args):
         raise exc("boom")
 
-    monkeypatch.setattr(cli, "_cmd_shadow", boom)
+    monkeypatch.setitem(cli._HANDLERS, "shadow", boom)
     assert run(["shadow", files["h32"], "-k", "2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

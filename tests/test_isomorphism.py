@@ -1,5 +1,6 @@
 """Embedding search, counts, and canonical form against permutation oracles."""
 
+import collections
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from erdosrogers import (
     count_embeddings,
     is_embedding,
     is_isomorphic,
+    iterated_blowup,
 )
 from erdosrogers.isomorphism import is_canonical
 from conftest import oracle_canonical, oracle_embedding_count, random_hypergraph, relabeled
@@ -78,7 +80,53 @@ class TestCountEmbeddings:
                 assert got.copies == got.embeddings // aut
 
 
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(h, oracle_canonical(h)) on random r in {1, 2, 4} hypergraphs with
+    n <= 7, and on the blowup iterates of K^3_3 (depth <= 2) and H^3_3
+    (depth 1) on at most 7 vertices, which are full of twins."""
+    rng = random.Random(43)
+    graphs = [
+        random_hypergraph(rng, r, rng.randint(0, 7), p=rng.choice((0.2, 0.4, 0.7)))
+        for r in (1, 2, 4)
+        for _ in range(10)
+    ]
+    for base in (build_complete(3, 3), build_h(3, 3)):
+        level = [()]
+        for _ in range(2):
+            level = [
+                s + (v,) for s in level for v in range(iterated_blowup(base, s).n)
+            ]
+            graphs += [
+                h for h in (iterated_blowup(base, s) for s in level) if h.n <= 7
+            ]
+    return [(h, oracle_canonical(h)) for h in graphs]
+
+
 class TestCanonicalForm:
+    def test_matches_oracle(self, oracle_cases):
+        for h, want in oracle_cases:
+            assert canonical_form(h) == want
+
+    def test_is_canonical_matches_oracle(self, oracle_cases):
+        for h, want in oracle_cases:
+            assert is_canonical(h) == (h.edges == want)
+            assert is_canonical(Hypergraph(h.r, h.n, want))
+
+    def test_first_block(self, oracle_cases):
+        # The edges through 0..r-2 end in exactly r-1..r-2+c*, where c* is
+        # the largest codegree of an (r-1)-set.
+        for h, _ in oracle_cases:
+            if not h.edges:
+                continue
+            r = h.r
+            codeg = collections.Counter(
+                s for e in h.edges for s in itertools.combinations(e, r - 1)
+            )
+            top = max(codeg.values())
+            block = [e[-1] for e in canonical_form(h) if e[: r - 1] == tuple(range(r - 1))]
+            assert block == list(range(r - 1, r - 1 + top))
+
     def test_relabeling_invariance(self, h32):
         rng = random.Random(31)
         base = canonical_form(build_h(3, 2))
