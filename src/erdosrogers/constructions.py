@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, blowup_F, induced, shadow
-from .isomorphism import Embedding, contains_copy, iter_embeddings
+from .isomorphism import Embedding, _links, contains_copy, iter_embeddings
 from .morphisms import SetMap
 from .randomness import sample_sorted, shuffled, substream
 
@@ -50,6 +50,10 @@ class ConstructionParams:
     def __post_init__(self):
         if self.c1 <= 0:
             raise InvalidParameterError("c1 must be positive")
+        try:
+            float(self.c1)
+        except OverflowError:
+            raise InvalidParameterError("c1 is too large to be a float") from None
 
     def num_colors(self, n: int) -> int:
         return max(1, round(float(self.c1) * math.log(n)))
@@ -220,30 +224,25 @@ def estimate_f_cover(
     if w > h.n or w < 0:
         raise InvalidParameterError(f"subset size must be in 0..{h.n}, got {w}")
     if exhaustive:
-        total = math.comb(h.n, w)
-        if total > EXHAUSTIVE_COVER_CAP:
+        trials = math.comb(h.n, w)
+        if trials > EXHAUSTIVE_COVER_CAP:
             raise CapacityError(
-                f"exhaustive mode limited to {EXHAUSTIVE_COVER_CAP} subsets, got {total}"
+                f"exhaustive mode limited to {EXHAUSTIVE_COVER_CAP} subsets, got {trials}"
             )
-        hits = sum(
-            1
-            for subset in itertools.combinations(range(h.n), w)
-            if contains_copy(induced(h, subset), f) is not None
-        )
-        return CoverEstimate(
-            fraction=hits / total, half_width=0.0, hits=hits, trials=total,
-            exhaustive=True,
-        )
-    if trials < 1:
+        subsets = itertools.combinations(range(h.n), w)
+    elif trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    hits = 0
-    for t in range(trials):
-        subset = sample_sorted(substream(seed, "cover-trial", t), h.n, w)
-        if contains_copy(induced(h, subset), f) is not None:
-            hits += 1
+    else:
+        subsets = (
+            sample_sorted(substream(seed, "cover-trial", t), h.n, w)
+            for t in range(trials)
+        )
+    hits = sum(1 for s in subsets if contains_copy(induced(h, s), f) is not None)
     p = hits / trials
-    half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return CoverEstimate(fraction=p, half_width=half, hits=hits, trials=trials)
+    half = 0.0 if exhaustive else 1.96 * math.sqrt(p * (1.0 - p) / trials)
+    return CoverEstimate(
+        fraction=p, half_width=half, hits=hits, trials=trials, exhaustive=exhaustive
+    )
 
 
 def richest_extension(
@@ -263,21 +262,17 @@ def richest_extension(
     rest = [w for w in range(g.n) if w != v]
     rel = {w: i for i, w in enumerate(rest)}
     minor = induced(g, rest)
-    v_edges = [e for e in g.edges if v in e]
+    # Base positions of the other vertices of each edge through v.
+    others = [[rel[w] for w in e if w != v] for e in g.edges if v in e]
+    links = _links(h)
     best_count = -1
     best: Optional[RichExtension] = None
     for emb in iter_embeddings(minor, h):
-        taken = set(emb.images)
-        extenders = []
-        for u in range(h.n):
-            if u in taken:
-                continue
-            if all(
-                tuple(sorted(u if w == v else emb.images[rel[w]] for w in e))
-                in h.edge_set
-                for e in v_edges
-            ):
-                extenders.append(u)
+        pools = [
+            links.get(tuple(sorted(emb.images[i] for i in o)), set()) for o in others
+        ]
+        cands = pools[0].intersection(*pools[1:]) if pools else set(range(h.n))
+        extenders = sorted(cands.difference(emb.images))
         if len(extenders) > best_count:
             best_count = len(extenders)
             best = RichExtension(base=emb, extenders=tuple(extenders))
@@ -315,14 +310,10 @@ def extract_blowup_copy(
         f_emb = contains_copy(sub, f)
         if f_emb is None:
             return None
-        f_hosts = [ext.extenders[i] for i in f_emb.images]
-        rest = [w for w in range(current.n) if w != v]
-        images = [-1] * (current.n + f.n - 1)
-        for idx, w in enumerate(rest):
-            images[w] = ext.base.images[idx]
-        images[v] = f_hosts[0]
-        for i in range(1, f.n):
-            images[current.n + i - 1] = f_hosts[i]
+        # blowup_F keeps v as f's vertex 0 and appends f's other vertices.
+        images = list(ext.base.images)
+        images.insert(v, ext.extenders[f_emb.images[0]])
+        images += (ext.extenders[i] for i in f_emb.images[1:])
         current = blowup_F(current, v, f)
         result = Embedding(tuple(images))
     return result

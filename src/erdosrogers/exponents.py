@@ -51,7 +51,7 @@ def _witness_canon(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]
     relabel = {v: i for i, v in enumerate(vertices)}
     h = Hypergraph(2, len(vertices), tuple(tuple(relabel[v] for v in e) for e in edges))
     # Not canonical_form: a witness may exceed its cap, but not VERTEX_ENUM_CAP.
-    return _min_edge_list(h, None, stop_on_improve=False)[0]
+    return _min_edge_list(h)
 
 
 def _densest(f: Hypergraph, offset: int) -> DensityReport:

@@ -31,19 +31,27 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        # Read the edges once, so a one-shot iterable is not used up by the
+        # type pass; tuple() of a tuple does not copy it.
+        try:
+            edges = tuple(map(tuple, self.edges))
+        except TypeError as exc:
+            raise InvalidParameterError(
+                f"each edge must be a sequence of vertex ids: {exc}"
+            ) from None
         # One pass over r, n and the vertex ids, made before sorting, which
         # raises TypeError on a mix of str and int.  bool is a subclass of int,
         # so the exact type is tested.
-        vertex_types = map(type, itertools.chain.from_iterable(self.edges))
+        vertex_types = map(type, itertools.chain.from_iterable(edges))
         if not {type(self.r), type(self.n), *vertex_types} <= {int}:
-            ids = itertools.chain((self.r, self.n), *self.edges)
+            ids = itertools.chain((self.r, self.n), *edges)
             bad = next(v for v in ids if type(v) is not int)
             raise InvalidParameterError(f"r, n and vertex ids must be int, got {bad!r}")
         if self.r < 1:
             raise InvalidParameterError(f"uniformity must be >= 1, got {self.r}")
         if self.n < 0:
             raise InvalidParameterError(f"vertex count must be >= 0, got {self.n}")
-        normalized = sorted({tuple(sorted(e)) for e in self.edges})
+        normalized = sorted({tuple(sorted(e)) for e in edges})
         for e in normalized:
             if len(e) != self.r or len(set(e)) != self.r:
                 raise InvalidParameterError(

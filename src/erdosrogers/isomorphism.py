@@ -189,16 +189,17 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
     return EmbeddingCount(total, total // aut)
 
 
-def _min_edge_list(
-    h: Hypergraph, incumbent: Optional[tuple], stop_on_improve: bool
-) -> tuple[Optional[tuple], bool]:
+def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     """Branch-and-bound minimum of the sorted edge list over all relabelings.
 
     Assigns new labels 0..n-1 to original vertices one at a time.  A partial
     assignment determines the images of edges lying inside the labeled set;
     the optimistic completion (smallest conceivable remaining edges) gives an
     admissible bound, and branches that cannot strictly beat the incumbent
-    are cut.  Returns (best, improved_over_initial_incumbent).
+    are cut.
+
+    Returns the least edge list, or, given an incumbent, the first list found
+    strictly below it, else the incumbent itself.
 
     First-block rule.  Let c* be the largest codegree of an (r-1)-set.  The
     edges through {0..r-2} come first in any sorted edge list, and the least
@@ -212,7 +213,7 @@ def _min_edge_list(
     """
     n, m, r = h.n, len(h.edges), h.r
     if m == 0:
-        return (), incumbent is not None and () < incumbent
+        return ()
     links = _links(h)
     top = max(map(len, links.values()))
     heads = [set(s) for s, link in links.items() if len(link) == top]
@@ -229,7 +230,7 @@ def _min_edge_list(
     labeled: list[int] = []
     # Labeled vertices per edge: an unlabeled v completes e when r-1 are.
     done = dict.fromkeys(h.edges, 0)
-    state = {"best": incumbent, "improved": False}
+    best = incumbent
 
     def allowed(k: int) -> Iterable[int]:
         if k < r - 1:
@@ -241,18 +242,16 @@ def _min_edge_list(
     def optimistic(det: list[tuple[int, ...]], k: int) -> tuple:
         return tuple(sorted(det + fresh[k][: m - len(det)]))
 
-    def rec(k: int, det: list[tuple[int, ...]]):
-        if stop_on_improve and state["improved"]:
-            return
-        best = state["best"]
+    def rec(k: int, det: list[tuple[int, ...]]) -> bool:  # True: stop
+        nonlocal best
         if k == n:
             final = tuple(sorted(det))
             if best is None or final < best:
-                state["best"] = final
-                state["improved"] = True
-            return
+                best = final
+                return incumbent is not None
+            return False
         if best is not None and optimistic(det, k) >= best:
-            return
+            return False
         cands = []
         for v in allowed(k):
             if label[v] is not None:
@@ -266,16 +265,17 @@ def _min_edge_list(
             for e in edges_at[v]:
                 done[e] += 1
             images = [tuple(sorted([label[u] for u in e])) for e in newly]
-            rec(k + 1, det + images)
+            stop = rec(k + 1, det + images)
             for e in edges_at[v]:
                 done[e] -= 1
             labeled.pop()
             label[v] = None
-            if stop_on_improve and state["improved"]:
-                return
+            if stop:
+                return True
+        return False
 
     rec(0, [])
-    return state["best"], state["improved"]
+    return best
 
 
 def canonical_form(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -286,23 +286,15 @@ def canonical_form(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """
     if h.n > CANONICAL_CAP:
         raise CapacityError(f"canonical form limited to n <= {CANONICAL_CAP}, got {h.n}")
-    best, _ = _min_edge_list(h, None, stop_on_improve=False)
-    return best
+    return _min_edge_list(h)
 
 
 def is_canonical(h: Hypergraph) -> bool:
-    """True iff h's own edge list is already its canonical form."""
+    """True iff h's own edge list is already its canonical form, i.e. no
+    relabeling beats it as the incumbent of the canonical search."""
     if h.n > CANONICAL_CAP:
         raise CapacityError(f"canonical form limited to n <= {CANONICAL_CAP}, got {h.n}")
-    if h.edges:
-        # The canonical form's edges through 0..r-2 end in r-1..r-2+c*, where
-        # c* is the largest codegree (first-block rule, see _min_edge_list).
-        links = _links(h)
-        top = max(map(len, links.values()))
-        if links.get(tuple(range(h.r - 1))) != set(range(h.r - 1, h.r - 1 + top)):
-            return False
-    _, improved = _min_edge_list(h, h.edges, stop_on_improve=True)
-    return not improved
+    return _min_edge_list(h, h.edges) == h.edges
 
 
 def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

@@ -219,6 +219,15 @@ def test_malformed_argument_exit_2(files, capsys, argv):
     assert "error: argument" in captured.err
 
 
+def test_c1_float_overflow_exit_2(files, capsys):
+    argv = ["construct", "coloring", "-n", "8", "-F", files["k33"], "--seed", "1",
+            "--c1", "1e400"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: c1")
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyError])
 def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
     def boom(args):

@@ -28,11 +28,13 @@ from erdosrogers import (
     induced,
     is_embedding,
     is_k_tightly_connected,
+    iter_embeddings,
     iterated_blowup,
     richest_extension,
     verify_g_free,
 )
 from erdosrogers.constructions import (
+    RichExtension,
     pair_coloring_from_json,
     pair_coloring_to_json,
     shadow_labeling_from_json,
@@ -204,6 +206,34 @@ class TestRichestExtension:
     def test_rejects_bad_vertex(self, k33):
         with pytest.raises(InvalidParameterError):
             richest_extension(build_complete(3, 5), k33, 5, threshold=1)
+
+    def test_matches_brute_force(self):
+        # The first maximizer in iter_embeddings order, with every host vertex
+        # that completes it tested against every edge of g.
+        rng = random.Random(4242)
+        for _ in range(30):
+            r = rng.choice((2, 3))
+            g = random_hypergraph(rng, r, rng.randint(r, 5), p=0.5, ensure_edge=True)
+            h = random_hypergraph(rng, r, rng.randint(g.n, 9), p=0.5)
+            v = rng.randrange(g.n)
+            threshold = rng.randint(0, 3)
+            minor = induced(g, [w for w in range(g.n) if w != v])
+            best = None
+            for emb in iter_embeddings(minor, h):
+                extenders = []
+                for u in range(h.n):
+                    images = list(emb.images)
+                    images.insert(v, u)
+                    if u not in emb.images and all(
+                        tuple(sorted(images[w] for w in e)) in h.edge_set
+                        for e in g.edges
+                    ):
+                        extenders.append(u)
+                if best is None or len(extenders) > len(best.extenders):
+                    best = RichExtension(base=emb, extenders=tuple(extenders))
+            if best is not None and len(best.extenders) < threshold:
+                best = None
+            assert richest_extension(h, g, v, threshold) == best
 
 
 class TestExtractBlowupCopy:

@@ -35,6 +35,12 @@ class TestHypergraph:
             Hypergraph(3, 4, ((0, 1, 1),))
         with pytest.raises(InvalidParameterError):
             Hypergraph(0, 4, ())
+        with pytest.raises(InvalidParameterError):
+            Hypergraph(3, 4, (0, 1, 2))
+
+    def test_one_shot_edge_iterable(self):
+        h = Hypergraph(3, 5, (e for e in [(0, 2, 1), (1, 2, 3)]))
+        assert h.edges == ((0, 1, 2), (1, 2, 3))
 
     @pytest.mark.parametrize(
         "r, n, edges",
