@@ -1,18 +1,16 @@
 """Executable randomized constructions with deterministic verifiers.
 
-Two seed-reproducible constructions of pattern-rich, probe-free hypergraphs:
+Two seed-reproducible constructions of pattern-rich, probe-free hypergraphs
+keep an r-set as an edge iff the maps on its k-subsets glue into one
+injection onto an edge of F:
 
-* :func:`construct_coloring` colors every vertex pair with one of ell colors
-  and keeps an r-set as an edge iff it is monochromatic in some color t and
-  the color's vertex map sends it injectively onto an edge of F.  The output
-  provably contains no 2-tightly-connected G that is not homomorphic to F,
-  for every seed.
+* :func:`construct_coloring` is the case k = 2 where the map of each vertex
+  pair is its color t's vertex map gamma_t, tagged by t.  The output provably
+  contains no 2-tightly-connected G that is not homomorphic to F, for every seed.
 
-* :func:`construct_shadow_labeling` gives every k-subset of the vertex set a
-  target k-subset of an edge of F and a uniform bijection onto it; an r-set
-  is an edge iff its k-subsets' bijections glue into one injection onto an
-  edge of F.  The output provably contains no G that is not
-  k-shadow-homomorphic to F, for every seed.
+* :func:`construct_shadow_labeling` gives every k-subset an untagged uniform
+  bijection onto a k-subset of an F-edge.  The output provably contains no G
+  that is not k-shadow-homomorphic to F, for every seed.
 
 Both return a full certificate; both are pure functions of (inputs, seed).
 The module also hosts the exhaustive G-freeness verifier, a Monte-Carlo
@@ -41,7 +39,7 @@ EXHAUSTIVE_COVER_CAP = 10**6
 class ConstructionParams:
     """Tunable constants and the seed for the randomized constructions.
 
-    c1 scales the color count ell = max(1, round(c1 * ln n)).
+    c1 scales the color count ell = max(1, round(c1 * ln n)), at most C(n, 2).
     """
 
     c1: Fraction = Fraction(1)
@@ -56,7 +54,11 @@ class ConstructionParams:
             raise InvalidParameterError("c1 is too large to be a float") from None
 
     def num_colors(self, n: int) -> int:
-        return max(1, round(float(self.c1) * math.log(n)))
+        scaled = float(self.c1) * math.log(n)
+        ell = max(1, round(scaled)) if math.isfinite(scaled) else math.inf
+        if ell > math.comb(n, 2):
+            raise CapacityError(f"c1 = {float(self.c1):g} gives over C({n}, 2) colors")
+        return ell
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,6 @@ class PairColoring:
     @property
     def n(self) -> int:
         return len(self.gammas[0])
-
-    def pair_index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        n = self.n
-        return u * (n - 1) - u * (u - 1) // 2 + v - u - 1
-
-    def color_of(self, u: int, v: int) -> int:
-        return self.beta[self.pair_index(u, v)]
 
 
 @dataclass(frozen=True)
@@ -131,25 +124,15 @@ def construct_coloring(
     if n < f.n:
         raise InvalidParameterError(f"need n >= {f.n}, got {n}")
     ell = params.num_colors(n)
-    pairs = list(itertools.combinations(range(n), 2))
     beta = tuple(
         substream(params.seed, "pair-color", i).randrange(ell)
-        for i in range(len(pairs))
+        for i in range(math.comb(n, 2))
     )
     gammas = tuple(_sample_color_map(params.seed, t, n, f.n) for t in range(ell))
     cert = PairColoring(ell=ell, beta=beta, gammas=gammas)
-    edges = []
-    for x in itertools.combinations(range(n), f.r):
-        color = cert.color_of(x[0], x[1])
-        if any(
-            cert.color_of(u, v) != color for u, v in itertools.combinations(x, 2)
-        ):
-            continue
-        gamma = gammas[color]
-        image = tuple(sorted(gamma[u] for u in x))
-        if len(set(image)) == f.r and image in f.edge_set:
-            edges.append(x)
-    return Hypergraph(f.r, n, tuple(edges)), cert
+    pairs = itertools.combinations(range(n), 2)
+    labels = [(t, (gammas[t][u], gammas[t][v])) for (u, v), t in zip(pairs, beta)]
+    return Hypergraph(f.r, n, _glued_edges(n, f, 2, labels)), cert
 
 
 def _sample_color_map(seed: int, t: int, n: int, target_size: int) -> tuple[int, ...]:
@@ -176,25 +159,41 @@ def construct_shadow_labeling(
         images = tuple(shuffled(target, substream(params.seed, "kset-bijection", i)))
         labels.append(SetMap(source=s, images=images))
     cert = ShadowLabeling(k=k, labels=tuple(labels))
-    by_kset = {sm.source: sm for sm in labels}
+    edges = _glued_edges(n, f, k, [(None, sm.images) for sm in labels])
+    return Hypergraph(f.r, n, edges), cert
+
+
+def _glued_edges(n: int, f: Hypergraph, k: int, labels: list) -> list[tuple[int, ...]]:
+    """The r-sets whose k-subsets carry one tag and maps that glue into one
+    injection onto an edge of F, unsorted.  labels[i] = (tag, images) maps the
+    i-th k-set S of range(n), in lexicographic order, by S[j] -> images[j].
+
+    Every prefix of an edge obeys the rule with its image inside an F-edge, so
+    an edge grows from its first k vertices by one larger v -> a at a time,
+    adding exactly the k-sets Q + v, Q a (k-1)-subset of the prefix.  Per Q,
+    the index lists each v for which Q + v has the prefix's tag and images
+    (glued(Q), a): the intersection loses no edge and scans no r-set.
+    """
+    edge_sets = [set(e) for e in f.edges]
+    index: dict[tuple, set[int]] = {}
+    stack = []
+    for s, (tag, images) in zip(itertools.combinations(range(n), k), labels):
+        placed = tuple(zip(s, images))
+        index.setdefault((placed[:-1], tag, images[-1]), set()).add(s[-1])
+        if len(set(images)) == k and any(e.issuperset(images) for e in edge_sets):
+            stack.append((placed, tag))
     edges = []
-    for x in itertools.combinations(range(n), f.r):
-        glued: dict[int, int] = {}
-        ok = True
-        for s in itertools.combinations(x, k):
-            sm = by_kset[s]
-            for v, img in zip(s, sm.images):
-                if glued.setdefault(v, img) != img:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    while stack:
+        placed, tag = stack.pop()
+        if len(placed) == f.r:
+            edges.append(tuple(v for v, _ in placed))
             continue
-        image = tuple(sorted(glued[u] for u in x))
-        if len(set(glued.values())) == f.r and image in f.edge_set:
-            edges.append(x)
-    return Hypergraph(f.r, n, tuple(edges)), cert
+        image = {a for _, a in placed}
+        for a in set().union(*(e for e in edge_sets if image <= e)) - image:
+            subs = itertools.combinations(placed, k - 1)
+            pools = [index.get((q, tag, a), set()) for q in subs]
+            stack += ((placed + ((v, a),), tag) for v in set.intersection(*pools))
+    return edges
 
 
 def verify_g_free(h: Hypergraph, g: Hypergraph) -> Optional[Embedding]:

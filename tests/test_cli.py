@@ -228,6 +228,18 @@ def test_c1_float_overflow_exit_2(files, capsys):
     assert captured.err.startswith("error: c1")
 
 
+@pytest.mark.parametrize(
+    "n, c1", [("30", "1e308"), ("8", "20")], ids=["c1-ln-n-inf", "colors-over-pairs"]
+)
+def test_c1_color_count_exit_3(files, capsys, n, c1):
+    argv = ["construct", "coloring", "-n", n, "-F", files["k33"], "--seed", "1",
+            "--c1", c1]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: c1")
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyError])
 def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
     def boom(args):

@@ -9,10 +9,12 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from erdosrogers import (
+    CapacityError,
     ConstructionParams,
     Hypergraph,
     InvalidParameterError,
@@ -43,6 +45,17 @@ from erdosrogers.constructions import (
 from conftest import random_hypergraph, tight_c5_minus_edge
 
 
+# Patterns for the edge-rule checks: complete, one missing edge, a sparse
+# tight path, and r = 4 so that k = 3 labelings are exercised too.
+EDGE_RULE_PATTERNS = {
+    "K33": build_complete(3, 3),
+    "H32": build_h(3, 2),
+    "tight_path3": Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4))),
+    "K45": build_complete(4, 5),
+    "H43": build_h(4, 3),
+}
+
+
 class TestColoringConstruction:
     def test_deterministic(self, k33):
         params = ConstructionParams(seed=99)
@@ -50,16 +63,22 @@ class TestColoringConstruction:
             18, k33, params
         )
 
-    def test_certificate_recomputes_edges(self, k33):
-        h, cert = construct_coloring(16, k33, ConstructionParams(seed=5))
+    @pytest.mark.parametrize("c1", [1, 3])
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    @pytest.mark.parametrize("name", list(EDGE_RULE_PATTERNS))
+    def test_certificate_recomputes_edges(self, name, seed, c1):
+        f = EDGE_RULE_PATTERNS[name]
+        n = 16 if f.r == 3 else 20
+        h, cert = construct_coloring(n, f, ConstructionParams(c1=c1, seed=seed))
+        color = dict(zip(itertools.combinations(range(n), 2), cert.beta))
         expected = []
-        for x in itertools.combinations(range(16), 3):
-            colors = {cert.color_of(u, v) for u, v in itertools.combinations(x, 2)}
+        for x in itertools.combinations(range(n), f.r):
+            colors = {color[p] for p in itertools.combinations(x, 2)}
             if len(colors) != 1:
                 continue
             gamma = cert.gammas[colors.pop()]
             image = tuple(sorted(gamma[u] for u in x))
-            if len(set(image)) == 3 and image in k33.edge_set:
+            if len(set(image)) == f.r and image in f.edge_set:
                 expected.append(x)
         assert h.edges == tuple(expected)
 
@@ -70,6 +89,17 @@ class TestColoringConstruction:
         )
         assert cert1.ell == max(1, round(math.log(20)))
         assert cert3.ell == max(1, round(3 * math.log(20)))
+
+    def test_color_count_capped_by_pairs(self):
+        # C(8, 2) = 28 pairs; 13.46 ln 8 rounds to 28 colors, 13.8 ln 8 to 29.
+        assert ConstructionParams(c1=Fraction("13.46")).num_colors(8) == 28
+        with pytest.raises(CapacityError):
+            ConstructionParams(c1=Fraction("13.8")).num_colors(8)
+        with pytest.raises(CapacityError):
+            ConstructionParams(c1=Fraction(10**300)).num_colors(90)
+        # A finite c1 whose product with ln n overflows to inf.
+        with pytest.raises(CapacityError):
+            ConstructionParams(c1=Fraction(10**308)).num_colors(90)
 
     def test_freeness_for_tight_non_homomorphic_probes(self, k33):
         probes = [build_complete(3, 4), tight_c5_minus_edge()]
@@ -102,21 +132,30 @@ class TestLabelingConstruction:
             construct_shadow_labeling(14, k33, 2, params)
         )
 
-    def test_edges_satisfy_gluing(self, k33):
-        h, cert = construct_shadow_labeling(14, k33, 2, ConstructionParams(seed=7))
+    # c1 only sets the color count, which the labeling does not use.
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    @pytest.mark.parametrize(
+        "name, k",
+        [(name, k) for name, f in EDGE_RULE_PATTERNS.items() for k in range(2, f.r)],
+    )
+    def test_edges_satisfy_gluing(self, name, k, seed):
+        f = EDGE_RULE_PATTERNS[name]
+        # r = 4 labelings are sparse: at n = 20 every one of these is empty.
+        n = 14 if f.r == 3 else 36
+        h, cert = construct_shadow_labeling(n, f, k, ConstructionParams(seed=seed))
         by_kset = {sm.source: sm for sm in cert.labels}
-        for x in itertools.combinations(range(14), 3):
+        for x in itertools.combinations(range(n), f.r):
             glued = {}
             consistent = True
-            for s in itertools.combinations(x, 2):
+            for s in itertools.combinations(x, k):
                 sm = by_kset[s]
                 for v, img in zip(s, sm.images):
                     if glued.setdefault(v, img) != img:
                         consistent = False
             is_edge = (
                 consistent
-                and len(set(glued.values())) == 3
-                and tuple(sorted(glued.values())) in k33.edge_set
+                and len(set(glued.values())) == f.r
+                and tuple(sorted(glued.values())) in f.edge_set
             )
             assert (x in h.edge_set) == is_edge
 
