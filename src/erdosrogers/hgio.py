@@ -1,9 +1,10 @@
 """Hypergraph file formats: the .hg text format and a JSON object form.
 
 Text format: line 1 is ``r n``; every subsequent non-empty line that does not
-start with ``#`` is one edge given as r space-separated vertex ids.  The JSON
-form is ``{"r": .., "n": .., "edges": [[..], ..]}``.  Both round-trip
-losslessly; edges are always serialized in canonical (sorted) order.
+start with ``#`` is one edge given as r space-separated vertex ids.  Numbers
+are ASCII decimal digits only.  The JSON form is
+``{"r": .., "n": .., "edges": [[..], ..]}``.  Both round-trip losslessly;
+edges are always serialized in canonical (sorted) order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ def format_hg(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimals(fields: list[str], line_no: int, what: str) -> tuple[int, ...]:
+    """The fields as ints; only ASCII decimal digits are accepted, where int()
+    would also take signs, underscores and non-ASCII digits."""
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise HgFormatError(
+            line_no, f"{what} must be ASCII decimal digits, got {' '.join(fields)!r}"
+        )
+    return tuple(map(int, fields))
+
+
 def parse_hg(text: str, first_line: int = 1) -> Hypergraph:
     """Parse the .hg text format; errors carry the 1-based offending line number."""
     lines = text.splitlines()
@@ -29,10 +40,7 @@ def parse_hg(text: str, first_line: int = 1) -> Hypergraph:
     header = lines[0].split()
     if len(header) != 2:
         raise HgFormatError(first_line, f"expected 'r n' header, got {lines[0]!r}")
-    try:
-        r, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise HgFormatError(first_line, f"non-integer header fields in {lines[0]!r}")
+    r, n = _decimals(header, first_line, "header fields")
     edges = []
     for offset, raw in enumerate(lines[1:], start=1):
         line_no = first_line + offset
@@ -42,11 +50,8 @@ def parse_hg(text: str, first_line: int = 1) -> Hypergraph:
         parts = stripped.split()
         if len(parts) != r:
             raise HgFormatError(line_no, f"expected {r} vertex ids, got {len(parts)}")
-        try:
-            edge = tuple(int(p) for p in parts)
-        except ValueError:
-            raise HgFormatError(line_no, f"non-integer vertex id in {stripped!r}")
-        if len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
+        edge = _decimals(parts, line_no, "vertex ids")
+        if len(set(edge)) != r or max(edge) >= n:
             raise HgFormatError(
                 line_no, f"edge {edge} is not {r} distinct vertices in 0..{n - 1}"
             )

@@ -10,7 +10,6 @@ left-to-right search.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -192,14 +191,28 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
 def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     """Branch-and-bound minimum of the sorted edge list over all relabelings.
 
-    Assigns new labels 0..n-1 to original vertices one at a time.  A partial
-    assignment determines the images of edges lying inside the labeled set;
-    the optimistic completion (smallest conceivable remaining edges) gives an
-    admissible bound, and branches that cannot strictly beat the incumbent
-    are cut.
+    Assigns new labels 0..n-1 to original vertices one at a time, in
+    increasing order, so the labels an edge has received fill its sorted
+    image from the left.  Each r-set of labels a_0 < ... < a_{r-1} is coded as
+    the integer sum of a_i * n**(r-1-i); no digit exceeds n-1, so the codes
+    sort as the tuples do and an edge list compares as its list of codes.
 
     Returns the least edge list, or, given an incumbent, the first list found
-    strictly below it, else the incumbent itself.
+    strictly below it, else the incumbent.
+
+    Bound.  When labels 0..k-1 are given, an edge with u unlabeled vertices
+    ends as its labels followed by u distinct labels >= k, so its final code
+    is at least its padded code: its labels followed by k, k+1, ..., k+u-1.
+    No padded digit exceeds n-1, as u <= n-k.  Every final list dominates
+    the padded list element-wise, hence also after sorting.  The final codes
+    are distinct r-set codes, as the edges are distinct, so the j-th least of
+    them is at least the r-set next after the (j-1)-th: raising each entry of
+    the sorted padded list, in turn, to at least the r-set next after its
+    predecessor keeps the domination.  (Without this step, equal padded codes
+    keep the bound of a complete hypergraph below its one final list, and
+    the search visits nearly all n! labelings.)  The result is an admissible
+    bound, and branches whose bound does not strictly beat the incumbent are
+    cut.  At k = n it is the final list.
 
     First-block rule.  Let c* be the largest codegree of an (r-1)-set.  The
     edges through {0..r-2} come first in any sorted edge list, and the least
@@ -211,26 +224,33 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     such vertices are tried at those depths.  This cuts no minimizer, so the
     result is exact.
     """
-    n, m, r = h.n, len(h.edges), h.r
-    if m == 0:
+    n, r = h.n, h.r
+    if not h.edges:
         return ()
     links = _links(h)
     top = max(map(len, links.values()))
     heads = [set(s) for s, link in links.items() if len(link) == top]
-    rsets = list(itertools.combinations(range(n), r))
-    # fresh[k]: in sorted order, the r-sets that can still appear once labels
-    # 0..k-1 are given, i.e. those reaching label k or above.
-    fresh = [[s for s in rsets if s[-1] >= k] for k in range(n + 1)]
-    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in h.edges:
+    # place[j]: the weight of an edge's j-th smallest label in its code.
+    place = [n ** (r - 1 - j) for j in range(r)]
+    # pad[k][u]: the code of the tail k, k+1, ..., k+u-1 in an edge's last u
+    # places (only read with u <= n-k).
+    pad = [
+        [sum((k + j) * place[r - u + j] for j in range(u)) for u in range(r + 1)]
+        for k in range(n + 1)
+    ]
+    edges_at: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(h.edges):
         for v in e:
-            edges_at[v].append(e)
+            edges_at[v].append(i)
     deg = h.degrees
-    label: list[Optional[int]] = [None] * n
+    placed = [False] * n
     labeled: list[int] = []
-    # Labeled vertices per edge: an unlabeled v completes e when r-1 are.
-    done = dict.fromkeys(h.edges, 0)
-    best = incumbent
+    # Per edge: the labels given so far, each in its place, and their count.
+    code = [0] * len(h.edges)
+    cnt = [0] * len(h.edges)
+    best = None
+    if incumbent is not None:
+        best = [sum(a * w for a, w in zip(e, place)) for e in incumbent]
 
     def allowed(k: int) -> Iterable[int]:
         if k < r - 1:
@@ -239,43 +259,55 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
             return links[tuple(sorted(labeled[: r - 1]))]
         return range(n)
 
-    def optimistic(det: list[tuple[int, ...]], k: int) -> tuple:
-        return tuple(sorted(det + fresh[k][: m - len(det)]))
+    def after(c: int) -> int:
+        """The code of the r-set next after the one coded c in sorted order,
+        or n**r, above every code, if there is none."""
+        if c % n < n - 1:
+            return c + 1
+        a = [c // w % n for w in place]
+        i = r - 1
+        while i >= 0 and a[i] == n - r + i:
+            i -= 1
+        if i < 0:
+            return n**r
+        return sum(a[j] * place[j] for j in range(i)) + pad[a[i] + 1][r - i]
 
-    def rec(k: int, det: list[tuple[int, ...]]) -> bool:  # True: stop
+    def rec(k: int) -> bool:  # True: stop
         nonlocal best
+        tail = pad[k]
+        bound = sorted([c + tail[r - t] for c, t in zip(code, cnt)])
+        for j in range(1, len(bound)):
+            if bound[j] <= bound[j - 1]:
+                bound[j] = after(bound[j - 1])
+        if best is not None and bound >= best:
+            return False
         if k == n:
-            final = tuple(sorted(det))
-            if best is None or final < best:
-                best = final
-                return incumbent is not None
-            return False
-        if best is not None and optimistic(det, k) >= best:
-            return False
+            best = bound
+            return incumbent is not None
         cands = []
         for v in allowed(k):
-            if label[v] is not None:
-                continue
-            newly = [e for e in edges_at[v] if done[e] == r - 1]
-            cands.append((-len(newly), -deg[v], v, newly))
+            if not placed[v]:
+                newly = sum(cnt[i] == r - 1 for i in edges_at[v])
+                cands.append((-newly, -deg[v], v))
         cands.sort()
-        for _, _, v, newly in cands:
-            label[v] = k
+        for _, _, v in cands:
+            placed[v] = True
             labeled.append(v)
-            for e in edges_at[v]:
-                done[e] += 1
-            images = [tuple(sorted([label[u] for u in e])) for e in newly]
-            stop = rec(k + 1, det + images)
-            for e in edges_at[v]:
-                done[e] -= 1
+            for i in edges_at[v]:
+                code[i] += k * place[cnt[i]]
+                cnt[i] += 1
+            stop = rec(k + 1)
+            for i in edges_at[v]:
+                cnt[i] -= 1
+                code[i] -= k * place[cnt[i]]
             labeled.pop()
-            label[v] = None
+            placed[v] = False
             if stop:
                 return True
         return False
 
-    rec(0, [])
-    return best
+    rec(0)
+    return tuple(tuple(c // w % n for w in place) for c in best)
 
 
 def canonical_form(h: Hypergraph) -> tuple[tuple[int, ...], ...]:

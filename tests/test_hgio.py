@@ -56,6 +56,16 @@ def test_parse_errors_name_line():
     with pytest.raises(HgFormatError) as exc:
         parse_hg("3 4\n0 1 9\n")
     assert exc.value.line == 2
+    # int() also takes underscores, signs and non-ASCII digits; the format
+    # takes ASCII decimal digits only.
+    for text, line in (
+        ("3 1_1\n", 1),
+        ("3 5\n0 1 2\n+2 3 4\n", 3),
+        ("3 4\n\u0660 \u0661 \u0662\n", 2),
+    ):
+        with pytest.raises(HgFormatError) as exc:
+            parse_hg(text)
+        assert exc.value.line == line
 
 
 def test_file_round_trip_both_suffixes(tmp_path):

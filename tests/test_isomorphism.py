@@ -20,7 +20,8 @@ from erdosrogers import (
     is_isomorphic,
     iterated_blowup,
 )
-from erdosrogers.isomorphism import is_canonical
+from erdosrogers.exponents import VERTEX_ENUM_CAP
+from erdosrogers.isomorphism import CANONICAL_CAP, _min_edge_list, is_canonical
 from conftest import oracle_canonical, oracle_embedding_count, random_hypergraph, relabeled
 
 
@@ -82,13 +83,19 @@ class TestCountEmbeddings:
 
 @pytest.fixture(scope="module")
 def oracle_cases():
-    """(h, oracle_canonical(h)) on random r in {1, 2, 4} hypergraphs with
-    n <= 7, and on the blowup iterates of K^3_3 (depth <= 2) and H^3_3
+    """(h, oracle_canonical(h)) on random r in {1, 2, 3, 4} hypergraphs with
+    n <= 7 (the 3-graphs with p in {0.3, 0.5}, the shape of the benchmark's
+    inputs), and on the blowup iterates of K^3_3 (depth <= 2) and H^3_3
     (depth 1) on at most 7 vertices, which are full of twins."""
     rng = random.Random(43)
     graphs = [
         random_hypergraph(rng, r, rng.randint(0, 7), p=rng.choice((0.2, 0.4, 0.7)))
         for r in (1, 2, 4)
+        for _ in range(10)
+    ]
+    graphs += [
+        random_hypergraph(rng, 3, rng.randint(4, 7), p=p)
+        for p in (0.3, 0.5)
         for _ in range(10)
     ]
     for base in (build_complete(3, 3), build_h(3, 3)):
@@ -177,6 +184,50 @@ class TestCanonicalForm:
         loose_pair = Hypergraph(3, 5, ((0, 1, 2), (2, 3, 4)))
         assert not is_isomorphic(tight_pair, loose_pair)
         assert not is_isomorphic(h32, k34)
+
+
+def _check_least_form(h, form_of, is_least):
+    """form_of agrees on two seeded relabelings of h, and its result is a
+    sorted edge list that is_least accepts and that is isomorphic to h."""
+    rng = random.Random(h.n)
+    forms = []
+    for _ in range(2):
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        forms.append(form_of(relabeled(h, perm)))
+    assert forms[0] == forms[1]
+    g = Hypergraph(h.r, h.n, forms[0])
+    assert g.edges == forms[0]
+    assert is_least(g)
+    assert is_isomorphic(g, h)
+
+
+class TestCanonicalAtScale:
+    """At the public cap, and past it up to VERTEX_ENUM_CAP vertices, which
+    exponent witnesses reach through _min_edge_list: edge codes in base n
+    must still sort as the edge tuples do."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_3graphs_at_cap(self, seed):
+        h = random_hypergraph(random.Random(seed), 3, CANONICAL_CAP, p=0.3)
+        _check_least_form(h, canonical_form, is_canonical)
+
+    @pytest.mark.parametrize("n", range(CANONICAL_CAP + 1, VERTEX_ENUM_CAP + 1))
+    def test_random_2graphs_past_cap(self, n):
+        h = random_hypergraph(random.Random(n), 2, n, p=0.3)
+        _check_least_form(
+            h, _min_edge_list, lambda g: _min_edge_list(g, g.edges) == g.edges
+        )
+
+    def test_complete_hypergraphs(self):
+        # Every labeling gives the one edge list; the bound must see that at
+        # once instead of visiting the n! labelings.
+        for r in (1, 2, 3, 4):
+            k = build_complete(r, CANONICAL_CAP)
+            assert canonical_form(k) == k.edges
+            assert is_canonical(k)
+        k = build_complete(2, VERTEX_ENUM_CAP)
+        assert _min_edge_list(k) == k.edges
 
 
 class TestIsEmbedding:
