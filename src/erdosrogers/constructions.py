@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, blowup_F, induced, shadow
-from .isomorphism import Embedding, _links, contains_copy, iter_embeddings
+from .isomorphism import Embedding, _links, contains_copy, copy_masks, iter_embeddings
 from .morphisms import SetMap
 from .randomness import sample_sorted, shuffled, substream
 
@@ -217,6 +217,10 @@ def estimate_f_cover(
     Sampling mode draws `trials` uniform subsets from per-trial substreams of
     the seed and reports a 95% normal-approximation half-width.  Exhaustive
     mode sweeps all C(n, w) subsets (allowed up to 10^6) and is exact.
+
+    The copies of f's core are listed once (:func:`copy_masks`) and indexed by
+    their lowest vertex.  W contains f iff w >= v(f) and some copy lies inside
+    W, and such a copy's lowest vertex is in W, so only those lists are read.
     """
     if h.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
@@ -236,7 +240,18 @@ def estimate_f_cover(
             sample_sorted(substream(seed, "cover-trial", t), h.n, w)
             for t in range(trials)
         )
-    hits = sum(1 for s in subsets if contains_copy(induced(h, s), f) is not None)
+    by_low: list[list[int]] = [[] for _ in range(h.n)]
+    masks = copy_masks(f, h) if w >= f.n else []
+    for m in masks:
+        if m:
+            by_low[(m & -m).bit_length() - 1].append(m)
+    if masks[:1] == [0]:  # edgeless f: every W of size >= v(f) holds it
+        hits = trials
+    else:
+        hits = 0
+        for s in subsets:
+            out = ~sum(1 << v for v in s)
+            hits += any(not m & out for v in s for m in by_low[v])
     p = hits / trials
     half = 0.0 if exhaustive else 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return CoverEstimate(

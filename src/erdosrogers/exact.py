@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, induced
-from .isomorphism import CANONICAL_CAP, _iter_maps, contains_copy, is_canonical
+from .isomorphism import CANONICAL_CAP, contains_copy, copy_masks, is_canonical
 
 BRANCH_AND_BOUND_CAP = 24
 BRUTEFORCE_CAP = 16
@@ -40,7 +40,7 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
     W contains f exactly when W contains a copy of f's core (f without its
     isolated vertices) and |W| >= v(f).  So any min(n, v(f)-1) vertices are
     f-free, and a larger W is f-free exactly when it contains none of the core
-    copies, which are listed once as vertex bitmasks.  Branch and bound then
+    copies, which :func:`copy_masks` lists once as vertex bitmasks.  Branch and bound then
     decides the vertices in order, include first: vertex i may join unless it
     completes a copy.  The bound is the number of vertices still available
     minus a greedy count of vertex-disjoint copies among them.  The witness is
@@ -56,16 +56,6 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
         )
     n = h.n
     bit = [1 << v for v in range(n)]
-    parts: list[set[int]] = []  # vertex sets of the core's components
-    for e in f.edges:
-        joined = set(e).union(*(p for p in parts if not p.isdisjoint(e)))
-        parts = [p for p in parts if p.isdisjoint(e)] + [joined]
-    # A core copy is the union of vertex-disjoint copies of its components.
-    copies = {0}
-    for p in parts:
-        maps = _iter_maps(induced(f, p), h, injective=True)
-        masks = {sum(map(bit.__getitem__, img)) for img in maps}
-        copies = {c | m for c in copies for m in masks if not c & m}
     best_size = min(n, f.n - 1)
     best_mask = (1 << best_size) - 1
 
@@ -89,7 +79,7 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
             rec(i + 1, cur | bit[i], size + 1, live)
         rec(i + 1, cur, size, [c for c in live if not c & bit[i]])
 
-    rec(0, 0, 0, sorted(copies))
+    rec(0, 0, 0, copy_masks(f, h))
     return FFreeResult(best_size, tuple(v for v in range(n) if best_mask >> v & 1))
 
 

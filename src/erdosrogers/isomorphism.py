@@ -4,17 +4,22 @@ One backtracker, :func:`_iter_maps`, finds both embeddings (injective) and
 homomorphisms (see :mod:`.morphisms`).  It is deterministic: pattern vertices
 are processed in a fixed constraint-first order and host candidates are tried
 in increasing id, so the witness returned is the first one of a fixed
-left-to-right search.
+left-to-right search.  Searches that need copies rather than every embedding
+(:func:`contains_copy`, :func:`count_embeddings`, :func:`copy_masks`) break
+the symmetry between twin pattern vertices, which keeps that first witness.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, induced
 
 CANONICAL_CAP = 12
 
@@ -53,15 +58,40 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
 
 def _links(h: Hypergraph) -> dict[tuple[int, ...], set[int]]:
     """Each (r-1)-set inside an edge, mapped to the vertices completing it."""
-    links: dict[tuple[int, ...], set[int]] = {}
+    links: dict[tuple[int, ...], set[int]] = collections.defaultdict(set)
     for e in h.edges:
-        for i in range(h.r):
-            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
-    return links
+        # combinations(e, r-1) leaves out e's vertices from the last down.
+        for rest, v in zip(itertools.combinations(e, h.r - 1), reversed(e)):
+            links[rest].add(v)
+    return dict(links)
+
+
+def _twin_classes(h: Hypergraph) -> list[int]:
+    """For each vertex, the least vertex of its twin class.
+
+    u and v are twins when the transposition (u v) is an automorphism: the
+    edges through u but not v, with u replaced by v, are exactly the edges
+    through v but not u.  The relation is an equivalence ((u w) is (u v) (v w)
+    (u v)).  Twins that share no edge have equal links, so they are grouped by
+    link; twins that share an edge are tested pair by pair along the edges.
+    """
+    link: list[set[tuple[int, ...]]] = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for i, u in enumerate(e):
+            link[u].add(e[:i] + e[i + 1 :])
+    first: dict[frozenset, int] = {}
+    cls = [first.setdefault(frozenset(s), v) for v, s in enumerate(link)]
+    for e in h.edges:
+        for u, v in itertools.combinations(e, 2):
+            if u < cls[v] and {s for s in link[u] if v not in s} == {
+                s for s in link[v] if u not in s
+            }:
+                cls[v] = u
+    return cls
 
 
 def _iter_maps(
-    pattern: Hypergraph, host: Hypergraph, injective: bool
+    pattern: Hypergraph, host: Hypergraph, injective: bool, break_twins: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Every edge-preserving vertex map of pattern into host, in a fixed order.
 
@@ -74,9 +104,22 @@ def _iter_maps(
     one sharing edges with the most placed vertices, then high degree, then
     small id.  A vertex that completes edges takes its candidates from the
     host link index: the host vertices completing the images of each such
-    edge's other vertices.  Host candidates are tried in increasing id.  The
-    search keeps an explicit stack, so pattern size is not bounded by the
-    recursion limit.
+    edge's other vertices.  Host candidates are tried in increasing id, so
+    the maps come in lexicographic order of their images read in placement
+    order.  The search keeps an explicit stack, so pattern size is not
+    bounded by the recursion limit.
+
+    Twin rule.  With injective and break_twins, only the embeddings whose
+    images increase within each twin class of the pattern (see
+    :func:`_twin_classes`), read in placement order, are kept: a vertex's
+    candidates start above the image of the last placed member of its class.
+    Each class's symmetric group lies in Aut(pattern) and permutes the
+    embeddings freely, so exactly one embedding per orbit of the product of
+    these groups survives, and the count shrinks by the product of the class
+    factorials.  The first embedding is unchanged: if the lexicographically
+    first one mapped a twin v placed after its twin u below u, composing it
+    with (u v) would give an embedding that agrees before u's position and is
+    smaller there, a contradiction.  Homomorphisms are not affected.
     """
     n, r = pattern.n, pattern.r
     if injective and (n > host.n or len(pattern.edges) > len(host.edges)):
@@ -118,27 +161,48 @@ def _iter_maps(
     for e in pattern.edges:
         last = max(e, key=pos.__getitem__)
         checks[pos[last]].append(tuple(u for u in e if u != last))
+    # twin[d]: the vertex placed last before depth d in order[d]'s twin class.
+    twin = [-1] * n
+    if injective and break_twins:
+        cls = _twin_classes(pattern)
+        last_of: dict[int, int] = {}
+        for d, v in enumerate(order):
+            twin[d] = last_of.get(cls[v], -1)
+            last_of[cls[v]] = v
     links = _links(host)
     images = [-1] * n
     used = [False] * host.n
 
+    image_of = images.__getitem__
+
     def candidates(depth: int) -> Iterable[int]:
         pools = []
         for others in checks[depth]:
-            pool = links.get(tuple(sorted(images[u] for u in others)))
+            pool = links.get(tuple(sorted(map(image_of, others))))
             if pool is None:
                 return []
             pools.append(pool)
-        cands = sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
         if not injective:
-            return cands
+            return sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
+        low = images[twin[depth]] if twin[depth] >= 0 else -1
         need = pdeg[order[depth]]
-        return [c for c in cands if not used[c] and hdeg[c] >= need]
+        if pools:
+            cands = pools[0].intersection(*pools[1:])
+        else:
+            cands = range(low + 1, host.n)
+        return sorted(c for c in cands if c > low and not used[c] and hdeg[c] >= need)
 
     if n == 0:
         yield ()
         return
-    stack = [iter(candidates(0))]
+    # The first n-1 depths are searched on the stack; below each full prefix
+    # the last vertex's candidates are yielded in a plain loop.
+    last = order[-1]
+    stack = [iter(candidates(0))] if n > 1 else []
+    if n == 1:
+        for c in candidates(0):
+            images[last] = c
+            yield tuple(images)
     while stack:
         depth = len(stack) - 1
         p = order[depth]
@@ -151,10 +215,12 @@ def _iter_maps(
             continue
         images[p] = cand
         used[cand] = injective
-        if depth + 1 == n:
-            yield tuple(images)
-        else:
+        if depth + 2 < n:
             stack.append(iter(candidates(depth + 1)))
+            continue
+        for c in candidates(n - 1):
+            images[last] = c
+            yield tuple(images)
 
 
 def iter_embeddings(pattern: Hypergraph, host: Hypergraph) -> Iterator[Embedding]:
@@ -171,21 +237,49 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Optional[Embedding]:
     """First embedding of pattern into host, or None if host is pattern-free."""
     if host.r != pattern.r:
         raise InvalidParameterError(f"uniformity mismatch: {host.r} vs {pattern.r}")
-    for img in _iter_maps(pattern, host, injective=True):
+    for img in _iter_maps(pattern, host, injective=True, break_twins=True):
         return Embedding(img)
     return None
 
 
 def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
-    """Exact count of embeddings, and of copies (embeddings / |Aut(pattern)|)."""
+    """Exact count of embeddings, and of copies (embeddings / |Aut(pattern)|).
+
+    Only the twin-broken maps are enumerated.  Each stands for the prod |C|!
+    embeddings that permute its twin classes C, into host as into pattern, so
+    the copies are the twin-broken maps into host over those into pattern.
+    """
     if pattern.r != host.r:
         raise InvalidParameterError(f"uniformity mismatch: {pattern.r} vs {host.r}")
-    total = sum(1 for _ in _iter_maps(pattern, host, injective=True))
-    if total == 0:
+    maps = sum(1 for _ in _iter_maps(pattern, host, injective=True, break_twins=True))
+    if maps == 0:
         return EmbeddingCount(0, 0)
-    aut = sum(1 for _ in _iter_maps(pattern, pattern, injective=True))
-    assert total % aut == 0, "embedding count must be divisible by |Aut|"
-    return EmbeddingCount(total, total // aut)
+    auts = sum(1 for _ in _iter_maps(pattern, pattern, injective=True, break_twins=True))
+    sizes = collections.Counter(_twin_classes(pattern)).values()
+    return EmbeddingCount(maps * math.prod(map(math.factorial, sizes)), maps // auts)
+
+
+def copy_masks(f: Hypergraph, h: Hypergraph) -> list[int]:
+    """The vertex sets of the copies of f's core in h, as sorted bitmasks.
+
+    The core is f without its isolated vertices, so a vertex set W of h holds
+    a copy of f exactly when |W| >= v(f) and some mask lies inside W.  A core
+    copy is a union of vertex-disjoint copies of the core's components, each
+    listed by the twin-broken search; an edgeless f gives the one mask 0.
+    """
+    if f.r != h.r:
+        raise InvalidParameterError(f"uniformity mismatch: {f.r} vs {h.r}")
+    parts: list[set[int]] = []  # vertex sets of the core's components
+    for e in f.edges:
+        joined = set(e).union(*(p for p in parts if not p.isdisjoint(e)))
+        parts = [p for p in parts if p.isdisjoint(e)] + [joined]
+    bit = [1 << v for v in range(h.n)]
+    copies = {0}
+    for p in parts:
+        maps = _iter_maps(induced(f, p), h, injective=True, break_twins=True)
+        masks = {sum(map(bit.__getitem__, img)) for img in maps}
+        copies = {c | m for c in copies for m in masks if not c & m}
+    return sorted(copies)
 
 
 def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:

@@ -42,6 +42,7 @@ from erdosrogers.constructions import (
     shadow_labeling_from_json,
     shadow_labeling_to_json,
 )
+from erdosrogers.randomness import sample_sorted, substream
 from conftest import random_hypergraph, tight_c5_minus_edge
 
 
@@ -214,6 +215,40 @@ class TestCoverEstimator:
     def test_rejects_oversized_subset(self, k33):
         with pytest.raises(InvalidParameterError):
             estimate_f_cover(build_complete(3, 5), k33, 6, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Hypergraph(3, 3, ((0, 1, 2),)),
+            Hypergraph(3, 4, ((0, 1, 2), (0, 1, 3))),
+            Hypergraph(3, 5, ((0, 1, 2), (0, 3, 4))),
+            Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
+            Hypergraph(3, 4, ((0, 1, 2),)),
+            Hypergraph(3, 2, ()),
+            Hypergraph(2, 4, ((0, 1), (2, 3))),
+        ],
+        ids=["edge", "h32", "bowtie", "matching", "isolated", "edgeless", "r2-matching"],
+    )
+    def test_both_modes_match_permutation_oracle(self, f):
+        # Hits on every w-subset (exhaustive) and on the seeded trial subsets
+        # (sampled) against a search over all maps of f into W, w < v(f)
+        # included.
+        def holds(h, w):
+            return any(
+                all(tuple(sorted(perm[v] for v in e)) in h.edge_set for e in f.edges)
+                for perm in itertools.permutations(w, f.n)
+            )
+
+        rng = random.Random(97 + f.n)
+        for _ in range(4):
+            h = random_hypergraph(rng, f.r, 8, p=rng.choice((0.15, 0.4)))
+            for w in range(f.n - 1, 7):
+                subsets = list(itertools.combinations(range(8), w))
+                est = estimate_f_cover(h, f, w, 1, seed=0, exhaustive=True)
+                assert est.hits == sum(holds(h, s) for s in subsets)
+                drawn = [sample_sorted(substream(5, "cover-trial", t), 8, w) for t in range(20)]
+                est = estimate_f_cover(h, f, w, 20, seed=5)
+                assert est.hits == sum(holds(h, s) for s in drawn)
 
 
 class TestRichestExtension:

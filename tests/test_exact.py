@@ -79,6 +79,12 @@ class TestMaxFFreeSubset:
             assert contains_copy(induced(h, res.witness + (v,)), k34) is not None
 
 
+    def test_complete_host_at_cap(self):
+        # 42,504 copies of K^3_5 in K^3_24; every 5-set holds one.
+        res = max_f_free_subset(build_complete(3, 24), build_complete(3, 5))
+        assert (res.size, res.witness) == (4, (0, 1, 2, 3))
+
+
 class TestBruteforceOracle:
     def test_single_edge_host(self, k33):
         h = Hypergraph(3, 5, ((1, 2, 4),))

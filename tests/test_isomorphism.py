@@ -18,10 +18,16 @@ from erdosrogers import (
     count_embeddings,
     is_embedding,
     is_isomorphic,
+    iter_embeddings,
     iterated_blowup,
 )
 from erdosrogers.exponents import VERTEX_ENUM_CAP
-from erdosrogers.isomorphism import CANONICAL_CAP, _min_edge_list, is_canonical
+from erdosrogers.isomorphism import (
+    CANONICAL_CAP,
+    _min_edge_list,
+    _twin_classes,
+    is_canonical,
+)
 from conftest import oracle_canonical, oracle_embedding_count, random_hypergraph, relabeled
 
 
@@ -59,7 +65,86 @@ class TestContainsCopy:
             assert present == (count_embeddings(pattern, host).embeddings > 0)
 
 
+def twin_heavy_pattern(rng: random.Random, r: int) -> Hypergraph:
+    """A random small pattern, mostly with large twin classes: complete, a
+    depth-1 blowup iterate, with isolated vertices, edgeless, or plain random."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return build_complete(r, rng.randint(r, min(r + 2, 6)))
+    if kind == 1:
+        base = build_complete(r, r) if rng.random() < 0.5 else build_h(r, rng.randint(1, r + 1))
+        return iterated_blowup(base, (rng.randrange(base.n),))
+    if kind == 2:
+        core = random_hypergraph(rng, r, rng.randint(r, r + 1), p=0.6, ensure_edge=True)
+        return Hypergraph(r, core.n + rng.randint(1, 2), core.edges)
+    if kind == 3:
+        return Hypergraph(r, rng.randint(0, 3), ())
+    return random_hypergraph(rng, r, rng.randint(1, min(r + 2, 6)), p=0.6)
+
+
+def brute_twin_classes(h: Hypergraph) -> list[int]:
+    """For each vertex, the least vertex whose transposition with it maps the
+    edge set onto itself."""
+    def swaps(u, v):
+        t = {u: v, v: u}
+        return all(
+            tuple(sorted(t.get(x, x) for x in e)) in h.edge_set for e in h.edges
+        )
+
+    return [next(u for u in range(v + 1) if swaps(u, v)) for v in range(h.n)]
+
+
+class TestTwinRule:
+    def test_twin_classes_match_transpositions(self):
+        rng = random.Random(101)
+        graphs = [twin_heavy_pattern(rng, r) for r in (1, 2, 3, 4) for _ in range(30)]
+        graphs += [random_hypergraph(rng, r, 7, p=0.5) for r in (2, 3) for _ in range(20)]
+        graphs.append(iterated_blowup(build_h(3, 3), (0, 4)))
+        for h in graphs:
+            assert _twin_classes(h) == brute_twin_classes(h)
+
+    def test_witness_is_first_embedding(self):
+        # contains_copy searches with twins broken, iter_embeddings without;
+        # the first embedding must be the same.
+        rng = random.Random(103)
+        for i in range(300):
+            r = (1, 2, 3, 4)[i % 4]
+            pattern = twin_heavy_pattern(rng, r)
+            host = random_hypergraph(
+                rng, r, rng.randint(0, 8), p=rng.choice((0.3, 0.6, 0.9))
+            )
+            assert contains_copy(host, pattern) == next(
+                iter_embeddings(pattern, host), None
+            )
+
+
+def oracle_copy_count(pattern: Hypergraph, host: Hypergraph) -> int:
+    """Distinct (vertex set, edge set) images over all injective edge-preserving
+    maps: two maps give the same one iff they differ by an automorphism."""
+    images = set()
+    for perm in itertools.permutations(range(host.n), pattern.n):
+        mapped = frozenset(tuple(sorted(perm[v] for v in e)) for e in pattern.edges)
+        if mapped <= host.edge_set:
+            images.add((frozenset(perm), mapped))
+    return len(images)
+
+
 class TestCountEmbeddings:
+    @pytest.mark.parametrize(
+        "pattern",
+        [build_complete(3, 4), build_complete(3, 5), Hypergraph(3, 3, ()),
+         Hypergraph(3, 0, ()), Hypergraph(2, 4, ())],
+        ids=["K34", "K35", "edgeless3", "empty", "edgeless-r2"],
+    )
+    def test_twin_heavy_against_oracles(self, pattern):
+        host = build_complete(pattern.r, 8) if pattern.edges else build_complete(pattern.r, 6)
+        got = count_embeddings(pattern, host)
+        assert got == (
+            oracle_embedding_count(pattern, host),
+            oracle_copy_count(pattern, host),
+        )
+
+
     def test_triple_in_k34(self, k33, k34):
         assert count_embeddings(k33, k34) == (24, 4)
 
