@@ -241,11 +241,11 @@ def estimate_f_cover(
             for t in range(trials)
         )
     by_low: list[list[int]] = [[] for _ in range(h.n)]
-    masks = copy_masks(f, h) if w >= f.n else []
+    masks = copy_masks(f, h) if w >= f.n else set()
     for m in masks:
         if m:
             by_low[(m & -m).bit_length() - 1].append(m)
-    if masks[:1] == [0]:  # edgeless f: every W of size >= v(f) holds it
+    if 0 in masks:  # edgeless f: every W of size >= v(f) holds it
         hits = trials
     else:
         hits = 0

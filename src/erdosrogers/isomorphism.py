@@ -171,9 +171,8 @@ def _iter_maps(
             last_of[cls[v]] = v
     links = _links(host)
     images = [-1] * n
-    used = [False] * host.n
-
     image_of = images.__getitem__
+    used = [False] * host.n
 
     def candidates(depth: int) -> Iterable[int]:
         pools = []
@@ -186,23 +185,19 @@ def _iter_maps(
             return sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
         low = images[twin[depth]] if twin[depth] >= 0 else -1
         need = pdeg[order[depth]]
-        if pools:
-            cands = pools[0].intersection(*pools[1:])
-        else:
-            cands = range(low + 1, host.n)
+        cands = pools[0].intersection(*pools[1:]) if pools else range(low + 1, host.n)
         return sorted(c for c in cands if c > low and not used[c] and hdeg[c] >= need)
 
     if n == 0:
         yield ()
         return
+    if n == 1:
+        yield from ((c,) for c in candidates(0))
+        return
     # The first n-1 depths are searched on the stack; below each full prefix
     # the last vertex's candidates are yielded in a plain loop.
     last = order[-1]
-    stack = [iter(candidates(0))] if n > 1 else []
-    if n == 1:
-        for c in candidates(0):
-            images[last] = c
-            yield tuple(images)
+    stack = [iter(candidates(0))]
     while stack:
         depth = len(stack) - 1
         p = order[depth]
@@ -246,21 +241,26 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
     """Exact count of embeddings, and of copies (embeddings / |Aut(pattern)|).
 
     Only the twin-broken maps are enumerated.  Each stands for the prod |C|!
-    embeddings that permute its twin classes C, into host as into pattern, so
-    the copies are the twin-broken maps into host over those into pattern.
+    embeddings that permute it within the twin classes C.  Every copy in host
+    is the image of as many twin-broken maps as pattern has into itself, so
+    the copies are the maps into host over the maps into pattern.
     """
     if pattern.r != host.r:
         raise InvalidParameterError(f"uniformity mismatch: {pattern.r} vs {host.r}")
-    maps = sum(1 for _ in _iter_maps(pattern, host, injective=True, break_twins=True))
+    def count(h: Hypergraph) -> int:
+        return sum(1 for _ in _iter_maps(pattern, h, injective=True, break_twins=True))
+
+    maps = count(host)
     if maps == 0:
         return EmbeddingCount(0, 0)
-    auts = sum(1 for _ in _iter_maps(pattern, pattern, injective=True, break_twins=True))
     sizes = collections.Counter(_twin_classes(pattern)).values()
-    return EmbeddingCount(maps * math.prod(map(math.factorial, sizes)), maps // auts)
+    return EmbeddingCount(
+        maps * math.prod(map(math.factorial, sizes)), maps // count(pattern)
+    )
 
 
-def copy_masks(f: Hypergraph, h: Hypergraph) -> list[int]:
-    """The vertex sets of the copies of f's core in h, as sorted bitmasks.
+def copy_masks(f: Hypergraph, h: Hypergraph) -> set[int]:
+    """The vertex sets of the copies of f's core in h, as bitmasks.
 
     The core is f without its isolated vertices, so a vertex set W of h holds
     a copy of f exactly when |W| >= v(f) and some mask lies inside W.  A core
@@ -278,8 +278,11 @@ def copy_masks(f: Hypergraph, h: Hypergraph) -> list[int]:
     for p in parts:
         maps = _iter_maps(induced(f, p), h, injective=True, break_twins=True)
         masks = {sum(map(bit.__getitem__, img)) for img in maps}
-        copies = {c | m for c in copies for m in masks if not c & m}
-    return sorted(copies)
+        if copies == {0}:  # the first part
+            copies = masks
+        else:
+            copies = {c | m for c in copies for m in masks if not c & m}
+    return copies
 
 
 def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
