@@ -78,7 +78,6 @@ class TestMaxFFreeSubset:
         for v in set(range(24)) - set(res.witness):
             assert contains_copy(induced(h, res.witness + (v,)), k34) is not None
 
-
     def test_complete_host_at_cap(self):
         # 42,504 copies of K^3_5 in K^3_24; every 5-set holds one.
         res = max_f_free_subset(build_complete(3, 24), build_complete(3, 5))

@@ -144,7 +144,6 @@ class TestCountEmbeddings:
             oracle_copy_count(pattern, host),
         )
 
-
     def test_triple_in_k34(self, k33, k34):
         assert count_embeddings(k33, k34) == (24, 4)
 
