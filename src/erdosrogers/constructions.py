@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, blowup_F, induced, shadow
-from .isomorphism import Embedding, _links, contains_copy, copy_masks, iter_embeddings
+from .isomorphism import Embedding, _copy_masks, _links, contains_copy, iter_embeddings
 from .morphisms import SetMap
 from .randomness import sample_sorted, shuffled, substream
 
@@ -218,9 +218,12 @@ def estimate_f_cover(
     the seed and reports a 95% normal-approximation half-width.  Exhaustive
     mode sweeps all C(n, w) subsets (allowed up to 10^6) and is exact.
 
-    The copies of f's core are listed once (:func:`copy_masks`) and indexed by
-    their lowest vertex.  W contains f iff w >= v(f) and some copy lies inside
-    W, and such a copy's lowest vertex is in W, so only those lists are read.
+    W contains f iff w >= v(f) and some copy of f's core lies inside W, and
+    such a copy's lowest vertex is in W.  So when the copies can be listed
+    (:func:`_copy_masks`) in at most w steps per subset, they are listed once
+    and each W reads only the copies whose lowest vertex it holds.  Otherwise
+    each W is searched on its own, with :func:`contains_copy` on its induced
+    subgraph, which already costs more than w steps per subset.
     """
     if h.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
@@ -240,14 +243,15 @@ def estimate_f_cover(
             sample_sorted(substream(seed, "cover-trial", t), h.n, w)
             for t in range(trials)
         )
-    by_low: list[list[int]] = [[] for _ in range(h.n)]
-    masks = copy_masks(f, h) if w >= f.n else set()
-    for m in masks:
-        if m:
-            by_low[(m & -m).bit_length() - 1].append(m)
-    if 0 in masks:  # edgeless f: every W of size >= v(f) holds it
+    masks = _copy_masks(f, h, limit=trials * w) if w >= f.n else set()
+    if masks is None:
+        hits = sum(1 for s in subsets if contains_copy(induced(h, s), f) is not None)
+    elif 0 in masks:  # edgeless f: every W of size >= v(f) holds it
         hits = trials
     else:
+        by_low: list[list[int]] = [[] for _ in range(h.n)]
+        for m in masks:
+            by_low[(m & -m).bit_length() - 1].append(m)
         hits = 0
         for s in subsets:
             out = ~sum(1 << v for v in s)

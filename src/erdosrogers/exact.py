@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, induced
-from .isomorphism import CANONICAL_CAP, contains_copy, copy_masks, is_canonical
+from .isomorphism import CANONICAL_CAP, _copy_masks, contains_copy, is_canonical
 
 BRANCH_AND_BOUND_CAP = 24
 BRUTEFORCE_CAP = 16
@@ -40,7 +40,7 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
     W contains f exactly when W contains a copy of f's core (f without its
     isolated vertices) and |W| >= v(f).  So any min(n, v(f)-1) vertices are
     f-free, and a larger W is f-free exactly when it contains none of the core
-    copies, which :func:`copy_masks` lists once as vertex bitmasks.  Branch and
+    copies, which :func:`_copy_masks` lists once as vertex bitmasks.  Branch and
     bound then decides the vertices in order, include first: vertex i may join
     unless it completes a copy.  The bound is the number of vertices still
     available minus a greedy count of vertex-disjoint copies among them.  The
@@ -79,7 +79,7 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
             rec(i + 1, cur | bit[i], size + 1, live)
         rec(i + 1, cur, size, [c for c in live if not c & bit[i]])
 
-    rec(0, 0, 0, sorted(copy_masks(f, h)))
+    rec(0, 0, 0, sorted(_copy_masks(f, h)))
     return FFreeResult(best_size, tuple(v for v in range(n) if best_mask >> v & 1))
 
 

@@ -10,6 +10,7 @@ serialize identically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -122,6 +123,14 @@ def induced(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     w = sorted(set(vertices))
     if w and (w[0] < 0 or w[-1] >= h.n):
         raise InvalidParameterError(f"vertex subset {w} not within 0..{h.n - 1}")
+    if math.comb(len(w), h.r) < len(h.edges):
+        # Fewer r-subsets of W than edges: look each subset up instead.
+        edges = [
+            c
+            for c in itertools.combinations(range(len(w)), h.r)
+            if tuple(w[i] for i in c) in h.edge_set
+        ]
+        return Hypergraph(h.r, len(w), tuple(edges))
     relabel = {v: i for i, v in enumerate(w)}
     inside = set(w)
     edges = [

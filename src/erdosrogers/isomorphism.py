@@ -5,7 +5,7 @@ homomorphisms (see :mod:`.morphisms`).  It is deterministic: pattern vertices
 are processed in a fixed constraint-first order and host candidates are tried
 in increasing id, so the witness returned is the first one of a fixed
 left-to-right search.  Searches that need copies rather than every embedding
-(:func:`contains_copy`, :func:`count_embeddings`, :func:`copy_masks`) break
+(:func:`contains_copy`, :func:`count_embeddings`, :func:`_copy_masks`) break
 the symmetry between twin pattern vertices, which keeps that first witness.
 """
 
@@ -58,12 +58,11 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
 
 def _links(h: Hypergraph) -> dict[tuple[int, ...], set[int]]:
     """Each (r-1)-set inside an edge, mapped to the vertices completing it."""
-    links: dict[tuple[int, ...], set[int]] = collections.defaultdict(set)
+    links: dict[tuple[int, ...], set[int]] = {}
     for e in h.edges:
-        # combinations(e, r-1) leaves out e's vertices from the last down.
-        for rest, v in zip(itertools.combinations(e, h.r - 1), reversed(e)):
-            links[rest].add(v)
-    return dict(links)
+        for i in range(h.r):
+            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+    return links
 
 
 def _twin_classes(h: Hypergraph) -> list[int]:
@@ -171,13 +170,12 @@ def _iter_maps(
             last_of[cls[v]] = v
     links = _links(host)
     images = [-1] * n
-    image_of = images.__getitem__
     used = [False] * host.n
 
     def candidates(depth: int) -> Iterable[int]:
         pools = []
         for others in checks[depth]:
-            pool = links.get(tuple(sorted(map(image_of, others))))
+            pool = links.get(tuple(sorted(images[u] for u in others)))
             if pool is None:
                 return []
             pools.append(pool)
@@ -191,12 +189,6 @@ def _iter_maps(
     if n == 0:
         yield ()
         return
-    if n == 1:
-        yield from ((c,) for c in candidates(0))
-        return
-    # The first n-1 depths are searched on the stack; below each full prefix
-    # the last vertex's candidates are yielded in a plain loop.
-    last = order[-1]
     stack = [iter(candidates(0))]
     while stack:
         depth = len(stack) - 1
@@ -210,12 +202,10 @@ def _iter_maps(
             continue
         images[p] = cand
         used[cand] = injective
-        if depth + 2 < n:
-            stack.append(iter(candidates(depth + 1)))
-            continue
-        for c in candidates(n - 1):
-            images[last] = c
+        if depth + 1 == n:
             yield tuple(images)
+        else:
+            stack.append(iter(candidates(depth + 1)))
 
 
 def iter_embeddings(pattern: Hypergraph, host: Hypergraph) -> Iterator[Embedding]:
@@ -259,13 +249,18 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
     )
 
 
-def copy_masks(f: Hypergraph, h: Hypergraph) -> set[int]:
+def _copy_masks(
+    f: Hypergraph, h: Hypergraph, limit: float = math.inf
+) -> Optional[set[int]]:
     """The vertex sets of the copies of f's core in h, as bitmasks.
 
     The core is f without its isolated vertices, so a vertex set W of h holds
     a copy of f exactly when |W| >= v(f) and some mask lies inside W.  A core
     copy is a union of vertex-disjoint copies of the core's components, each
     listed by the twin-broken search; an edgeless f gives the one mask 0.
+    None when the listing would take more than `limit` steps, counting, per
+    component, one per host edge (the search's link index) and one per map,
+    and one per pair tried in a union.
     """
     if f.r != h.r:
         raise InvalidParameterError(f"uniformity mismatch: {f.r} vs {h.r}")
@@ -275,13 +270,21 @@ def copy_masks(f: Hypergraph, h: Hypergraph) -> set[int]:
         parts = [p for p in parts if p.isdisjoint(e)] + [joined]
     bit = [1 << v for v in range(h.n)]
     copies = {0}
+    steps = 0
     for p in parts:
-        maps = _iter_maps(induced(f, p), h, injective=True, break_twins=True)
-        masks = {sum(map(bit.__getitem__, img)) for img in maps}
-        if copies == {0}:  # the first part
-            copies = masks
-        else:
-            copies = {c | m for c in copies for m in masks if not c & m}
+        steps += len(h.edges)
+        if steps > limit:
+            return None
+        masks = set()
+        for img in _iter_maps(induced(f, p), h, injective=True, break_twins=True):
+            steps += 1
+            if steps > limit:
+                return None
+            masks.add(sum(map(bit.__getitem__, img)))
+        steps += len(copies) * len(masks)
+        if steps > limit:
+            return None
+        copies = {c | m for c in copies for m in masks if not c & m}
     return copies
 
 

@@ -250,6 +250,24 @@ class TestCoverEstimator:
                 est = estimate_f_cover(h, f, w, 20, seed=5)
                 assert est.hits == sum(holds(h, s) for s in drawn)
 
+    def test_disconnected_f_on_dense_host(self):
+        # Two disjoint edges on a 40-vertex host with p = 0.5 have millions of
+        # copies, far more than 200 trials of width 8 need: each W is searched
+        # on its own.  The same with w = n - 1 in exhaustive mode.
+        f = Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5)))
+
+        def holds(h, w):
+            inside = [e for e in itertools.combinations(w, 3) if e in h.edge_set]
+            return any(set(a).isdisjoint(b) for a, b in itertools.combinations(inside, 2))
+
+        h = random_hypergraph(random.Random(109), 3, 40, p=0.5)
+        drawn = [sample_sorted(substream(3, "cover-trial", t), 40, 8) for t in range(200)]
+        assert estimate_f_cover(h, f, 8, 200, seed=3).hits == sum(holds(h, s) for s in drawn)
+        h = random_hypergraph(random.Random(113), 3, 12, p=0.1)
+        est = estimate_f_cover(h, f, 11, 1, seed=0, exhaustive=True)
+        subsets = itertools.combinations(range(12), 11)
+        assert est.hits == sum(holds(h, s) for s in subsets)
+
 
 class TestRichestExtension:
     def test_complete_host_extends_everywhere(self, k33):

@@ -124,6 +124,18 @@ class TestInduced:
         with pytest.raises(InvalidParameterError):
             induced(k33, [0, 5])
 
+    def test_matches_edge_filter(self):
+        # Small W in a dense host looks up W's r-subsets; large W scans the
+        # host's edges.  Both must keep exactly the edges inside W, relabeled.
+        rng = random.Random(7)
+        for _ in range(200):
+            r = rng.randint(1, 4)
+            h = random_hypergraph(rng, r, rng.randint(r, 10), p=rng.choice((0.1, 0.5, 0.9)))
+            w = sorted(rng.sample(range(h.n), rng.randint(0, h.n)))
+            kept = [e for e in h.edges if set(e) <= set(w)]
+            want = tuple(tuple(w.index(v) for v in e) for e in kept)
+            assert induced(h, w) == Hypergraph(r, len(w), want)
+
     def test_containment_monotone(self, k33):
         rng = random.Random(5)
         for _ in range(25):

@@ -24,6 +24,7 @@ from erdosrogers import (
 from erdosrogers.exponents import VERTEX_ENUM_CAP
 from erdosrogers.isomorphism import (
     CANONICAL_CAP,
+    _copy_masks,
     _min_edge_list,
     _twin_classes,
     is_canonical,
@@ -127,6 +128,31 @@ def oracle_copy_count(pattern: Hypergraph, host: Hypergraph) -> int:
         if mapped <= host.edge_set:
             images.add((frozenset(perm), mapped))
     return len(images)
+
+
+class TestCopyMasks:
+    def test_against_permutations(self):
+        # The vertex sets of all maps of f's non-isolated vertices into h.
+        rng = random.Random(107)
+        for i in range(60):
+            r = (2, 3)[i % 2]
+            f = twin_heavy_pattern(rng, r)
+            h = random_hypergraph(rng, r, 7, p=0.5)
+            core = sorted({v for e in f.edges for v in e})
+            want = set()
+            for perm in itertools.permutations(range(h.n), len(core)):
+                img = dict(zip(core, perm))
+                if all(tuple(sorted(img[v] for v in e)) in h.edge_set for e in f.edges):
+                    want.add(sum(1 << v for v in perm))
+            assert _copy_masks(f, h) == want
+
+    def test_limit(self):
+        # Two disjoint edges in K^3_6: per component, 20 host edges and 20
+        # maps, then 1 * 20 and 20 * 20 pairs tried in the unions.
+        f, h = Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))), build_complete(3, 6)
+        assert _copy_masks(f, h, limit=500) == {0b111111}
+        assert _copy_masks(f, h, limit=499) is None
+        assert _copy_masks(build_complete(3, 3), h, limit=39) is None
 
 
 class TestCountEmbeddings:
