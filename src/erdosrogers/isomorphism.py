@@ -179,12 +179,12 @@ def _iter_maps(
             if pool is None:
                 return []
             pools.append(pool)
+        cands = sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
         if not injective:
-            return sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
+            return cands
         low = images[twin[depth]] if twin[depth] >= 0 else -1
         need = pdeg[order[depth]]
-        cands = pools[0].intersection(*pools[1:]) if pools else range(low + 1, host.n)
-        return sorted(c for c in cands if c > low and not used[c] and hdeg[c] >= need)
+        return [c for c in cands if c > low and not used[c] and hdeg[c] >= need]
 
     if n == 0:
         yield ()
