@@ -1,10 +1,9 @@
 """Ground-truth oracles at tiny scale.
 
 Exact maximum pattern-free induced subsets (the complement of a minimum
-hitting set of the pattern's copies, by branch and bound, plus a 2^n
-exhaustive twin used as its oracle), isomorph-free enumeration of probe-free
-hypergraphs by orderly generation, and the exact two-pattern extremal value
-obtained by minimizing over the enumeration.
+hitting set of the pattern's copies, by branch and bound), isomorph-free
+enumeration of probe-free hypergraphs by orderly generation, and the exact
+two-pattern extremal value obtained by minimizing over the enumeration.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
-from .hypergraph import Hypergraph, induced
+from .hypergraph import Hypergraph
 from .isomorphism import CANONICAL_CAP, _copy_masks, contains_copy, is_canonical
 
 BRANCH_AND_BOUND_CAP = 24
-BRUTEFORCE_CAP = 16
 ENUMERATION_CAP = 35  # limit on C(n, r)
 
 
@@ -81,21 +79,6 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
 
     rec(0, 0, 0, sorted(_copy_masks(f, h)))
     return FFreeResult(best_size, tuple(v for v in range(n) if best_mask >> v & 1))
-
-
-def max_f_free_bruteforce(h: Hypergraph, f: Hypergraph) -> int:
-    """Oracle: exhaustive maximum over all vertex subsets, largest size first."""
-    if h.r != f.r:
-        raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
-    if not f.edges:
-        raise InvalidParameterError("pattern must have at least one edge")
-    if h.n > BRUTEFORCE_CAP:
-        raise CapacityError(f"bruteforce limited to n <= {BRUTEFORCE_CAP}, got {h.n}")
-    for size in range(h.n, -1, -1):
-        for subset in itertools.combinations(range(h.n), size):
-            if contains_copy(induced(h, subset), f) is None:
-                return size
-    return 0
 
 
 def enumerate_g_free(n: int, r: int, g: Hypergraph) -> Iterator[Hypergraph]:

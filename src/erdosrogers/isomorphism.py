@@ -89,6 +89,22 @@ def _twin_classes(h: Hypergraph) -> list[int]:
     return cls
 
 
+def _orbits(h: Hypergraph) -> list[int]:
+    """For each vertex, the least vertex of its orbit under Aut(h).
+
+    The twin-broken self-maps of h are one automorphism per coset of the
+    group T generated by the twin transpositions, so every automorphism is
+    such a map after some element of T, and the orbit of w is the union of
+    the twin classes of the vertices those maps send to w.
+    """
+    low0 = _twin_classes(h)
+    low = list(low0)
+    for img in _iter_maps(h, h, True, break_twins=True):
+        for u, w in enumerate(img):
+            low[w] = min(low[w], low0[u])
+    return low
+
+
 def _iter_maps(
     pattern: Hypergraph, host: Hypergraph, injective: bool, break_twins: bool = False
 ) -> Iterator[tuple[int, ...]]:

@@ -27,13 +27,7 @@ from typing import Optional
 
 from .errors import InvalidParameterError
 from .hypergraph import Hypergraph, blowup_F
-from .isomorphism import (
-    CANONICAL_CAP,
-    Embedding,
-    _iter_maps,
-    canonical_form,
-    contains_copy,
-)
+from .isomorphism import Embedding, _iter_maps, _orbits, contains_copy
 
 
 @dataclass(frozen=True)
@@ -84,8 +78,9 @@ class TightOrder:
 @dataclass(frozen=True)
 class BlowupCertificate:
     """Steps is the sequence of vertices blown up (each placing a copy of the
-    base pattern), starting from the base pattern itself; embedding maps the
-    probe hypergraph into the replayed iterate."""
+    base pattern), starting from the base pattern itself: the lexicographically
+    least of the shortest sequences whose iterate contains the probe.
+    Embedding maps the probe hypergraph into the replayed iterate."""
 
     steps: tuple[int, ...]
     embedding: Embedding
@@ -269,16 +264,25 @@ def is_sub_iterated_blowup(
 ) -> Optional[BlowupCertificate]:
     """Bounded-depth exact membership of g in the blowup closure of f.
 
-    Breadth-first over iterates reachable from f by at most max_steps blowups,
-    deduplicating isomorphic iterates by canonical form while they are small
-    enough.  A returned certificate is always correct; None only means "not
-    within max_steps".
+    Breadth-first over the step sequences of at most max_steps blowups, in
+    lexicographic order within each depth; an iterate P is blown up only at
+    the least vertex of each Aut(P)-orbit (:func:`.isomorphism._orbits`).
+    The steps returned are the lexicographically least shortest sequence
+    whose iterate contains g.  None only means "not within max_steps".
+
+    Exactness.  Suppose a step s_i of that sequence s is not least in its
+    orbit: an automorphism a of its iterate sends s_i to some u < s_i.  Both
+    blowups put the new copies on the same fresh ids, so a, fixing those, is
+    an isomorphism of the two children, and of the iterates of every
+    continuation, each later step mapped through it.  The sequence with u
+    for s_i and the later steps mapped is then as long, lexicographically
+    smaller, and its iterate contains g: a contradiction.  So s survives the
+    pruning, and every sequence tested before it misses g.
     """
     if g.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {g.r} vs {f.r}")
     if max_steps < 0:
         raise InvalidParameterError(f"max_steps must be >= 0, got {max_steps}")
-    seen = set()
     frontier: list[tuple[Hypergraph, tuple[int, ...]]] = [(f, ())]
     for depth in range(max_steps + 1):
         for iterate, steps in frontier:
@@ -287,15 +291,10 @@ def is_sub_iterated_blowup(
                 return BlowupCertificate(steps=steps, embedding=emb)
         if depth == max_steps:
             break
-        next_frontier = []
-        for iterate, steps in frontier:
-            for v in range(iterate.n):
-                child = blowup_F(iterate, v, f)
-                if child.n <= CANONICAL_CAP:
-                    key = (child.n, canonical_form(child))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                next_frontier.append((child, steps + (v,)))
-        frontier = next_frontier
+        frontier = [
+            (blowup_F(iterate, v, f), steps + (v,))
+            for iterate, steps in frontier
+            for v, low in enumerate(_orbits(iterate))
+            if low == v
+        ]
     return None

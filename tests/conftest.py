@@ -2,9 +2,12 @@
 
 The oracles here deliberately avoid the library's search code: embedding
 counts sweep raw permutations, homomorphism existence sweeps all vertex maps,
-canonical forms minimize over all relabelings, and shadow-homomorphism
-existence sweeps per-edge assignment products.  Library results are checked
-against these on instances small enough to enumerate.
+canonical forms minimize over all relabelings, automorphism orbits take the
+least image over all permutations, shadow-homomorphism existence sweeps
+per-edge assignment products, maximum pattern-free subsets sweep vertex
+subsets as bitmasks, and blowup membership replays every step sequence.
+Library results are checked against these on instances small enough to
+enumerate.
 """
 
 import itertools
@@ -39,6 +42,12 @@ def tight_c5_minus_edge() -> Hypergraph:
     # Tight 5-cycle with one edge removed: 2-shadow-homomorphic to the single
     # triple but not homomorphic to it.
     return Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)))
+
+
+def tight_cycle(r: int, n: int) -> Hypergraph:
+    """Edges {i, i+1, ..., i+r-1} mod n: the tight cycle (for r = 2 the cycle)."""
+    edges = {tuple(sorted((i + j) % n for j in range(r))) for i in range(n)}
+    return Hypergraph(r, n, tuple(sorted(edges)))
 
 
 @pytest.fixture
@@ -128,3 +137,97 @@ def relabeled(h: Hypergraph, perm) -> Hypergraph:
     return Hypergraph(
         h.r, h.n, tuple(tuple(perm[v] for v in e) for e in h.edges)
     )
+
+
+def oracle_orbits(h: Hypergraph) -> list[int]:
+    """For each vertex, its least image over all automorphisms, i.e. the
+    least vertex of its orbit."""
+    low = list(range(h.n))
+    for perm in itertools.permutations(range(h.n)):
+        if all(tuple(sorted(perm[v] for v in e)) in h.edge_set for e in h.edges):
+            low = [min(a, b) for a, b in zip(low, perm)]
+    return low
+
+
+def oracle_maps(pattern: Hypergraph, host: Hypergraph):
+    """Every injective edge-preserving map.  Pattern vertices are assigned
+    most-connected-to-the-assigned first, each to a host vertex of at least
+    its degree, and each edge is tested once its last vertex is assigned."""
+    pdeg = [sum(v in e for e in pattern.edges) for v in range(pattern.n)]
+    hdeg = [sum(v in e for e in host.edges) for v in range(host.n)]
+    order: list[int] = []
+    while len(order) < pattern.n:
+        placed = set(order)
+        order.append(max(
+            (v for v in range(pattern.n) if v not in placed),
+            key=lambda v: (
+                sum(v in e and not placed.isdisjoint(e) for e in pattern.edges),
+                pdeg[v],
+            ),
+        ))
+    due = {v: [] for v in order}
+    for e in pattern.edges:
+        due[max(e, key=order.index)].append(e)
+    images = [-1] * pattern.n
+    used: set[int] = set()
+
+    def extend(i):
+        if i == pattern.n:
+            yield tuple(images)
+            return
+        v = order[i]
+        for c in range(host.n):
+            if c in used or hdeg[c] < pdeg[v]:
+                continue
+            images[v] = c
+            if all(tuple(sorted(images[u] for u in e)) in host.edge_set for e in due[v]):
+                used.add(c)
+                yield from extend(i + 1)
+                used.discard(c)
+        images[v] = -1
+
+    return extend(0)
+
+
+def oracle_max_f_free(h: Hypergraph, f: Hypergraph) -> int:
+    """Largest vertex subset of h holding no copy of f: the copies' vertex
+    sets as bitmasks, then every subset, each bad when it is a copy's set or
+    a one-vertex extension of a bad subset."""
+    bad = bytearray(1 << h.n)
+    for img in oracle_maps(f, h):
+        bad[sum(1 << v for v in img)] = 1
+    best = 0
+    for w in range(1 << h.n):
+        if not bad[w] and any(bad[w ^ 1 << v] for v in range(h.n) if w >> v & 1):
+            bad[w] = 1
+        if not bad[w]:
+            best = max(best, bin(w).count("1"))
+    return best
+
+
+def oracle_blowup(h: Hypergraph, v: int, f: Hypergraph) -> Hypergraph:
+    """v gets f.n - 1 non-adjacent copies, each in copies of v's edges, and f
+    is placed with v as f's vertex 0 and the copies, in order, as the rest."""
+    role = [v] + list(range(h.n, h.n + f.n - 1))
+    edges = set(h.edges)
+    for e in h.edges:
+        if v in e:
+            for c in role[1:]:
+                edges.add(tuple(sorted(c if u == v else u for u in e)))
+    edges.update(tuple(sorted(role[u] for u in e)) for e in f.edges)
+    return Hypergraph(h.r, h.n + f.n - 1, tuple(sorted(edges)))
+
+
+def oracle_blowup_member(g: Hypergraph, f: Hypergraph, max_steps: int):
+    """Unpruned breadth-first search: the first step sequence, shortest
+    first and lexicographically within a length, whose replayed iterate
+    holds a copy of g, with that iterate; None within max_steps."""
+    for depth in range(max_steps + 1):
+        ranges = [range(f.n + i * (f.n - 1)) for i in range(depth)]
+        for steps in itertools.product(*ranges):
+            host = f
+            for v in steps:
+                host = oracle_blowup(host, v, f)
+            if next(oracle_maps(g, host), None) is not None:
+                return steps, host
+    return None

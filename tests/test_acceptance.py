@@ -26,7 +26,6 @@ from erdosrogers import (
     is_embedding,
     is_sub_iterated_blowup,
     iterated_blowup,
-    max_f_free_bruteforce,
     max_f_free_subset,
     extract_blowup_copy,
     verify_g_free,
@@ -35,7 +34,12 @@ from erdosrogers import (
 from erdosrogers.exponents import alpha, beta, max_density_bruteforce
 from erdosrogers.cli import run
 from erdosrogers.hgio import save_hg
-from conftest import oracle_canonical, random_hypergraph, tight_c5_minus_edge
+from conftest import (
+    oracle_canonical,
+    oracle_max_f_free,
+    random_hypergraph,
+    tight_c5_minus_edge,
+)
 
 from fractions import Fraction
 
@@ -164,7 +168,7 @@ def test_criterion_6_exact_oracle_agreement():
         n = rng.randint(6, 12)
         h = random_hypergraph(rng, 3, n, p=rng.uniform(0.1, 0.35))
         f = patterns[i % 3]
-        if max_f_free_subset(h, f).size != max_f_free_bruteforce(h, f):
+        if max_f_free_subset(h, f).size != oracle_max_f_free(h, f):
             mismatches += 1
     assert mismatches == 0
 
@@ -179,7 +183,7 @@ def test_criterion_6_exact_oracle_agreement():
         if contains_copy(h, k34) is not None:
             continue
         classes.setdefault(oracle_canonical(h), h)
-    oracle_value = min(max_f_free_bruteforce(h, k33) for h in classes.values())
+    oracle_value = min(oracle_max_f_free(h, k33) for h in classes.values())
     assert f_exact(k33, k34, 5).value == oracle_value
 
     for n in (3, 4, 5):

@@ -16,10 +16,9 @@ from erdosrogers import (
     enumerate_g_free,
     f_exact,
     induced,
-    max_f_free_bruteforce,
     max_f_free_subset,
 )
-from conftest import oracle_canonical, random_hypergraph
+from conftest import oracle_canonical, oracle_max_f_free, random_hypergraph
 
 
 def iso_class_count(n: int, r: int, keep) -> int:
@@ -52,7 +51,7 @@ class TestMaxFFreeSubset:
             h = random_hypergraph(rng, 3, 9, p=0.3)
             res = max_f_free_subset(h, k33)
             assert contains_copy(induced(h, res.witness), k33) is None
-            assert res.size == max_f_free_bruteforce(h, k33)
+            assert res.size == oracle_max_f_free(h, k33)
 
     def test_rejects_edgeless_pattern(self, k34):
         with pytest.raises(InvalidParameterError):
@@ -87,7 +86,7 @@ class TestMaxFFreeSubset:
 class TestBruteforceOracle:
     def test_single_edge_host(self, k33):
         h = Hypergraph(3, 5, ((1, 2, 4),))
-        assert max_f_free_bruteforce(h, k33) == 4
+        assert oracle_max_f_free(h, k33) == 4
 
     def test_agreement_random(self, k33, k34, h32):
         rng = random.Random(107)
@@ -95,7 +94,7 @@ class TestBruteforceOracle:
         for i in range(20):
             h = random_hypergraph(rng, 3, rng.randint(5, 10), p=0.3)
             f = patterns[i % 3]
-            assert max_f_free_subset(h, f).size == max_f_free_bruteforce(h, f)
+            assert max_f_free_subset(h, f).size == oracle_max_f_free(h, f)
         more_patterns = [
             Hypergraph(3, 5, ((0, 1, 2),)),  # isolated vertices
             Hypergraph(2, 3, ((0, 1), (0, 2), (1, 2))),
@@ -105,15 +104,11 @@ class TestBruteforceOracle:
         for f in more_patterns:
             for _ in range(8):
                 h = random_hypergraph(rng, f.r, rng.randint(4, 9), p=0.5)
-                assert max_f_free_subset(h, f).size == max_f_free_bruteforce(h, f)
+                assert max_f_free_subset(h, f).size == oracle_max_f_free(h, f)
         rng = random.Random(103)
         for _ in range(10):
             h = random_hypergraph(rng, 3, 8, p=0.35)
-            assert max_f_free_subset(h, k33).size == max_f_free_bruteforce(h, k33)
-
-    def test_capacity(self, k33):
-        with pytest.raises(CapacityError):
-            max_f_free_bruteforce(Hypergraph(3, 17, ()), k33)
+            assert max_f_free_subset(h, k33).size == oracle_max_f_free(h, k33)
 
 
 class TestEnumeration:
@@ -173,7 +168,7 @@ class TestFExact:
             h = Hypergraph(3, 4, edges)
             if contains_copy(h, k34) is not None:
                 continue
-            val = max_f_free_bruteforce(h, k33)
+            val = oracle_max_f_free(h, k33)
             best = val if best is None else min(best, val)
         assert f_exact(k33, k34, 4).value == best
 
@@ -187,7 +182,7 @@ class TestFExact:
                 h = Hypergraph(3, n, edges)
                 if contains_copy(h, two_edges) is not None:
                     continue
-                val = max_f_free_bruteforce(h, k33)
+                val = oracle_max_f_free(h, k33)
                 best = val if best is None else min(best, val)
             assert f_exact(k33, two_edges, n).value == best
 

@@ -26,10 +26,18 @@ from erdosrogers.isomorphism import (
     CANONICAL_CAP,
     _copy_masks,
     _min_edge_list,
+    _orbits,
     _twin_classes,
     is_canonical,
 )
-from conftest import oracle_canonical, oracle_embedding_count, random_hypergraph, relabeled
+from conftest import (
+    oracle_canonical,
+    oracle_embedding_count,
+    oracle_orbits,
+    random_hypergraph,
+    relabeled,
+    tight_cycle,
+)
 
 
 class TestContainsCopy:
@@ -117,6 +125,24 @@ class TestTwinRule:
             assert contains_copy(host, pattern) == next(
                 iter_embeddings(pattern, host), None
             )
+
+
+class TestOrbits:
+    def test_matches_oracle(self):
+        rng = random.Random(113)
+        graphs = [twin_heavy_pattern(rng, r) for r in (2, 3) for _ in range(15)]
+        graphs += [
+            random_hypergraph(rng, r, rng.randint(1, 7), p=0.5) for r in (2, 3) for _ in range(10)
+        ]
+        k33 = build_complete(3, 3)
+        graphs += [iterated_blowup(k33, (a, b)) for a in range(3) for b in range(5)]
+        for h in graphs:
+            assert _orbits(h) == oracle_orbits(h)
+
+    def test_tight_cycle_is_one_orbit_without_twins(self):
+        c5 = tight_cycle(3, 5)
+        assert _twin_classes(c5) == [0, 1, 2, 3, 4]
+        assert _orbits(c5) == [0] * 5
 
 
 def oracle_copy_count(pattern: Hypergraph, host: Hypergraph) -> int:

@@ -23,10 +23,12 @@ from erdosrogers import (
     verify_shadow_hom,
 )
 from conftest import (
+    oracle_blowup_member,
     oracle_has_hom,
     oracle_has_shadow_hom,
     random_hypergraph,
     relabeled,
+    tight_cycle,
 )
 
 
@@ -321,6 +323,38 @@ class TestIteratedBlowupMembership:
                 continue
             assert is_sub_iterated_blowup(g, k33, 2) is None
             tested += 1
+
+    @pytest.mark.parametrize(
+        "f",
+        [build_complete(3, 3), build_complete(3, 4), build_h(3, 2), tight_cycle(3, 5),
+         tight_cycle(2, 5)],
+        ids=["K33", "K34", "H32", "tight-C5", "C5"],
+    )
+    def test_least_steps_against_unpruned_oracle(self, f):
+        # Two in three probes are subgraphs of random depth-2 iterates on at
+        # most 7 vertices; the rest are random and mostly not members.
+        rng = random.Random(71)
+        for i in range(12):
+            if i % 3:
+                it = iterated_blowup(f, [rng.randrange(f.n), rng.randrange(2 * f.n - 1)])
+                keep = rng.sample(range(it.n), rng.randint(f.r + 2, 7))
+                edges = [e for e in it.edges if set(e) <= set(keep) and rng.random() < 0.9]
+                g = Hypergraph(f.r, len(keep), tuple(
+                    tuple(sorted(keep.index(v) for v in e)) for e in edges
+                ))
+            else:
+                g = random_hypergraph(rng, f.r, rng.randint(f.r, 5), p=0.5, ensure_edge=True)
+            depth = rng.choice((1, 2, 2))
+            want = oracle_blowup_member(g, f, depth)
+            cert = is_sub_iterated_blowup(g, f, depth)
+            if want is None:
+                assert cert is None
+                continue
+            steps, host = want
+            assert cert.steps == steps
+            img = cert.embedding.images
+            assert len(set(img)) == g.n and all(0 <= v < host.n for v in img)
+            assert all(tuple(sorted(img[v] for v in e)) in host.edge_set for e in g.edges)
 
 
 def test_membership_found_certificates_always_embed(k33):
