@@ -269,7 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-F", required=True)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c1", type=_rational, default="1")
+    p.add_argument(
+        "--c1",
+        type=_rational,
+        default="1",
+        help="color count scale for coloring: ell = max(1, round(c1 * ln n)); "
+        "labeling echoes it but ignores it",
+    )
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--cert", default=None)
 

@@ -9,7 +9,7 @@ pattern-free induced subset the corresponding constructions leave behind.
 Any maximizer must contain every shadow edge among its covered vertices
 (adding such an edge raises the numerator without changing the denominator),
 so enumerating the induced subgraphs without isolated vertices is exact.
-The 2^e edge subset sweep is kept as an independent brute-force oracle.
+The tests check it against a sweep of all 2^e edge subsets.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .hypergraph import Hypergraph, shadow
 from .isomorphism import _min_edge_list
 
 VERTEX_ENUM_CAP = 16
-SUBSET_ORACLE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -101,29 +100,13 @@ def beta(f: Hypergraph) -> DensityReport:
 
 
 def check_concluding_condition(f: Hypergraph) -> bool:
-    """True iff the full 2-shadow itself attains the offset-0 maximum,
-    i.e. beta(f) equals e(shadow) / (v(f) - 1)."""
+    """True iff beta(f) equals e(shadow) / (v(f) - 1), e(shadow) counting the
+    edges of the 2-shadow of f and v(f) = f.n its vertices, isolated ones
+    included.  Without isolated vertices this says that the full 2-shadow
+    attains the offset-0 maximum.  With them it can be False even when it
+    does: K^3_3 plus an isolated vertex has beta = 3/2 on its full shadow,
+    but 3 / (4 - 1) = 1."""
     if not f.edges:
         raise InvalidParameterError("condition undefined for an edgeless hypergraph")
     sh = shadow(f, 2)
     return beta(f).value == Fraction(len(sh.edges), f.n - 1)
-
-
-def max_density_bruteforce(f: Hypergraph, offset: int) -> Fraction:
-    """Oracle: sweep all 2^e nonempty edge subsets of the 2-shadow."""
-    if not f.edges:
-        raise InvalidParameterError("exponent undefined for an edgeless hypergraph")
-    sh = shadow(f, 2)
-    edges = sh.edges
-    if len(edges) > SUBSET_ORACLE_CAP:
-        raise CapacityError(
-            f"subset oracle limited to {SUBSET_ORACLE_CAP} shadow edges, got {len(edges)}"
-        )
-    best = None
-    for mask in range(1, 1 << len(edges)):
-        chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        covered = {v for e in chosen for v in e}
-        value = Fraction(len(chosen) + offset, len(covered) - 1)
-        if best is None or value > best:
-            best = value
-    return best

@@ -4,14 +4,18 @@ The oracles here deliberately avoid the library's search code: embedding
 counts sweep raw permutations, homomorphism existence sweeps all vertex maps,
 canonical forms minimize over all relabelings, automorphism orbits take the
 least image over all permutations, shadow-homomorphism existence sweeps
-per-edge assignment products, maximum pattern-free subsets sweep vertex
+per-edge assignment products, shadow-homomorphism certificates are checked
+against the definition written out, density exponents sweep every edge subset
+of a pair shadow built here, maximum pattern-free subsets sweep vertex
 subsets as bitmasks, and blowup membership replays every step sequence.
 Library results are checked against these on instances small enough to
-enumerate.
+enumerate.  From the library this file imports only Hypergraph,
+build_complete and build_h.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +135,65 @@ def oracle_has_shadow_hom(g: Hypergraph, f: Hypergraph, k: int) -> bool:
         ):
             return True
     return False
+
+
+def oracle_shadow_hom_witness(g: Hypergraph, f: Hypergraph, k: int, w) -> bool:
+    """The definition of a k-shadow-homomorphism certificate, clause by
+    clause: one map per k-set of an edge of g, each injective onto a k-subset
+    of an edge of f; one map per edge of g, each a bijection onto an edge of
+    f that restricts to the k-set maps; and, for k = r - 1, pairwise distinct
+    targets for any three edges pairwise meeting in r - 1 vertices with
+    r - 2 in common."""
+    f_edges = [set(e) for e in f.edges]
+    ksets = sorted({s for e in g.edges for s in itertools.combinations(e, k)})
+    if w.k != k or sorted(tuple(sm.source) for sm in w.shadow_map) != ksets:
+        return False
+    kmap = {}
+    for sm in w.shadow_map:
+        img = tuple(sm.images)
+        if len(img) != k or len(set(img)) != k:
+            return False
+        if not any(set(img) <= t for t in f_edges):
+            return False
+        kmap[tuple(sm.source)] = dict(zip(sm.source, img))
+    if sorted(tuple(em.source) for em in w.edge_map) != sorted(g.edges):
+        return False
+    target = {}
+    for em in w.edge_map:
+        img = tuple(em.images)
+        if len(img) != g.r or set(img) not in f_edges:
+            return False
+        phi = dict(zip(em.source, img))
+        for s in itertools.combinations(em.source, k):
+            if any(phi[v] != kmap[s][v] for v in s):
+                return False
+        target[tuple(em.source)] = frozenset(img)
+    if k == g.r - 1:
+        for e1, e2, e3 in itertools.combinations(g.edges, 3):
+            a, b, c = set(e1), set(e2), set(e3)
+            if len(a & b) == len(a & c) == len(b & c) == k and len(a & b & c) == k - 1:
+                if len({target[e1], target[e2], target[e3]}) < 3:
+                    return False
+    return True
+
+
+SUBSET_ORACLE_CAP = 20
+
+
+def oracle_max_density(f: Hypergraph, offset: int) -> Fraction:
+    """max (e' + offset) / (v' - 1) over every nonempty edge subset of the
+    pair shadow of f, v' counting the vertices the subset covers."""
+    pairs = sorted({p for e in f.edges for p in itertools.combinations(e, 2)})
+    if not pairs or len(pairs) > SUBSET_ORACLE_CAP:
+        raise ValueError(f"subset oracle needs 1..{SUBSET_ORACLE_CAP} shadow edges")
+    best = None
+    for mask in range(1, 1 << len(pairs)):
+        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        covered = {v for e in chosen for v in e}
+        value = Fraction(len(chosen) + offset, len(covered) - 1)
+        if best is None or value > best:
+            best = value
+    return best
 
 
 def relabeled(h: Hypergraph, perm) -> Hypergraph:

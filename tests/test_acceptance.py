@@ -31,11 +31,12 @@ from erdosrogers import (
     verify_g_free,
     verify_shadow_hom,
 )
-from erdosrogers.exponents import alpha, beta, max_density_bruteforce
+from erdosrogers.exponents import alpha, beta
 from erdosrogers.cli import run
 from erdosrogers.hgio import save_hg
 from conftest import (
     oracle_canonical,
+    oracle_max_density,
     oracle_max_f_free,
     random_hypergraph,
     tight_c5_minus_edge,
@@ -99,7 +100,7 @@ def test_criterion_3_exponents_exact_rationals():
         assert elapsed < 5.0
         assert report.value == expect
         assert report.recompute() == expect
-        oracle, elapsed = timed(max_density_bruteforce, f, offset)
+        oracle, elapsed = timed(oracle_max_density, f, offset)
         assert elapsed < 5.0
         assert oracle == expect
     print("criterion 3: PASS - alpha/beta golden rationals, subset oracle agreement")

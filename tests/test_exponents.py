@@ -15,8 +15,7 @@ from erdosrogers import (
     build_h,
     check_concluding_condition,
 )
-from erdosrogers.exponents import max_density_bruteforce
-from conftest import oracle_canonical, random_hypergraph
+from conftest import oracle_canonical, oracle_max_density, random_hypergraph
 
 
 def loose_tail(base: Hypergraph, joints: int) -> Hypergraph:
@@ -63,7 +62,7 @@ class TestGoldenValues:
 
     def test_alpha_h32(self, h32):
         assert alpha(h32).value == Fraction(2)
-        assert max_density_bruteforce(h32, 1) == Fraction(2)
+        assert oracle_max_density(h32, 1) == Fraction(2)
 
     def test_beta_values(self, k33, k34):
         assert beta(k33).value == Fraction(3, 2)
@@ -124,8 +123,8 @@ class TestOracleAgreement:
         rng = random.Random(73)
         for _ in range(25):
             f = random_hypergraph(rng, 3, rng.randint(3, 6), p=0.35, ensure_edge=True)
-            assert alpha(f).value == max_density_bruteforce(f, 1)
-            assert beta(f).value == max_density_bruteforce(f, 0)
+            assert alpha(f).value == oracle_max_density(f, 1)
+            assert beta(f).value == oracle_max_density(f, 0)
 
     def test_alpha_at_least_beta_and_two(self):
         rng = random.Random(79)
@@ -151,3 +150,10 @@ class TestConcludingCondition:
     def test_disconnected_shadow_fails(self):
         two_triples = Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5)))
         assert not check_concluding_condition(two_triples)
+
+    def test_isolated_vertex_counts_in_denominator(self):
+        # The full shadow attains beta = 3/2, but v(F) - 1 = 3 counts the
+        # isolated vertex, so the condition compares against 3/3.
+        k33_plus_isolated = Hypergraph(3, 4, ((0, 1, 2),))
+        assert beta(k33_plus_isolated).value == Fraction(3, 2)
+        assert not check_concluding_condition(k33_plus_isolated)

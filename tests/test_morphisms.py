@@ -4,6 +4,7 @@ bounded iterated-blowup membership, cross-checked against sweep oracles."""
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from conftest import (
     oracle_blowup_member,
     oracle_has_hom,
     oracle_has_shadow_hom,
+    oracle_shadow_hom_witness,
     random_hypergraph,
     relabeled,
     tight_cycle,
@@ -51,6 +53,46 @@ def greedy_tight_order(g, k):
         order.append(nxt)
         rest.remove(nxt)
     return tuple(order)
+
+
+def random_shadow_witness(rng, g, f, k):
+    """A certificate of the right shape with random images.  Each edge of g
+    goes where one random vertex map sends it if that is an edge of f, else
+    onto a random edge of f in random order; each k-set's entry is read off
+    a random edge containing it, so the maps glue only where they agree."""
+    phi = [rng.randrange(f.n) for _ in range(g.n)]
+    images = {}
+    for e in g.edges:
+        img = tuple(phi[v] for v in e)
+        if tuple(sorted(img)) not in f.edge_set:
+            img = tuple(rng.sample(rng.choice(f.edges), g.r))
+        images[e] = img
+    holders = {}
+    for e in g.edges:
+        for ps in itertools.combinations(range(g.r), k):
+            holders.setdefault(tuple(e[p] for p in ps), []).append((e, ps))
+    shadow_map = []
+    for s in sorted(holders):
+        e, ps = rng.choice(holders[s])
+        shadow_map.append(SetMap(s, tuple(images[e][p] for p in ps)))
+    edge_map = tuple(SetMap(e, images[e]) for e in g.edges)
+    return ShadowHomWitness(k, tuple(shadow_map), edge_map)
+
+
+def corrupt_shadow_witness(rng, w, f):
+    """The same certificate with one entry's images swapped in two places,
+    or replaced by arbitrary values (repeats and non-vertices of f too)."""
+    maps = [list(w.shadow_map), list(w.edge_map)]
+    side = maps[rng.randrange(2)]
+    i = rng.randrange(len(side))
+    img = list(side[i].images)
+    if len(img) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(range(len(img)), 2)
+        img[a], img[b] = img[b], img[a]
+    else:
+        img = [rng.randrange(-1, f.n + 1) for _ in img]
+    side[i] = SetMap(side[i].source, tuple(img))
+    return ShadowHomWitness(w.k, tuple(maps[0]), tuple(maps[1]))
 
 
 class TestFindHomomorphism:
@@ -199,6 +241,52 @@ class TestVerifyShadowHom:
         )
         with pytest.raises(InvalidParameterError):
             verify_shadow_hom(tc5_gap, k33, 2, truncated)
+
+    def test_conflicting_duplicate_kset_entry_raises(self, tc5_gap, k33):
+        # A reversed copy of the first k-set's entry in front of the true
+        # one: two maps for one k-set is a malformed certificate.
+        w = self._witness(tc5_gap, k33, 2)
+        sm = w.shadow_map[0]
+        doubled = ShadowHomWitness(
+            k=2,
+            shadow_map=(SetMap(sm.source, sm.images[::-1]),) + w.shadow_map,
+            edge_map=w.edge_map,
+        )
+        with pytest.raises(InvalidParameterError):
+            verify_shadow_hom(tc5_gap, k33, 2, doubled)
+        assert not oracle_shadow_hom_witness(tc5_gap, k33, 2, doubled)
+
+    def test_duplicate_edge_entry_raises(self, tc5_gap, k33):
+        w = self._witness(tc5_gap, k33, 2)
+        for edge_map in (
+            w.edge_map[:1] + w.edge_map,
+            w.edge_map[:1] + w.edge_map[:1] + w.edge_map[2:],
+        ):
+            doubled = ShadowHomWitness(k=2, shadow_map=w.shadow_map, edge_map=edge_map)
+            with pytest.raises(InvalidParameterError):
+                verify_shadow_hom(tc5_gap, k33, 2, doubled)
+
+    def test_agrees_with_definition_oracle(self):
+        # Solver witnesses, random ones, and either with one entry corrupted;
+        # for k = r - 1 the oracle also checks the injectivity consequence,
+        # which the verifier leaves to the edge pass.
+        rng = random.Random(97)
+        verdicts = Counter()
+        for case in range(2000):
+            r = rng.choice((2, 3, 4))
+            k = rng.randint(1, r)
+            g = random_hypergraph(rng, r, rng.randint(r, r + 3), p=0.5, ensure_edge=True)
+            f = random_hypergraph(rng, r, rng.randint(r, r + 2), p=0.6, ensure_edge=True)
+            w = find_shadow_homomorphism(g, f, k) if case % 3 == 0 else None
+            if w is None:
+                w = random_shadow_witness(rng, g, f, k)
+            if case % 3 == 2:
+                w = corrupt_shadow_witness(rng, w, f)
+            got = verify_shadow_hom(g, f, k, w)
+            assert got == oracle_shadow_hom_witness(g, f, k, w), (g, f, k, w)
+            verdicts[r, k, got] += 1
+        # Every (r, k) is seen both accepted and refused.
+        assert len(verdicts) == 2 * (2 + 3 + 4), verdicts
 
     def test_injectivity_consequence_on_built_witness(self):
         # Hand-build edge maps sending two edges of a tight triple to the same
