@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import constructions, exact, exponents, hgio, morphisms
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import iterated_blowup, shadow
-from .isomorphism import Embedding
+from .isomorphism import Embedding, contains_copy
 from .morphisms import SetMap, ShadowHomWitness
 
 
@@ -148,7 +148,7 @@ def _cmd_construct(args):
 
 
 def _cmd_verify_gfree(args):
-    violation = constructions.verify_g_free(hgio.load_hg(args.H), hgio.load_hg(args.G))
+    violation = contains_copy(hgio.load_hg(args.H), hgio.load_hg(args.G))
     return {"g_free": violation is None, "violation": _embedding_obj(violation)}
 
 
@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "blowup-member",
         parents=[common],
-        help="is G a subgraph of an F-iterated blowup (bounded depth)",
+        help="is G a subgraph of an F-iterated blowup (bounded depth); for r >= 2, "
+        "exit 1 with --max-steps >= v(G) - 2 means G is in no iterated blowup of F",
     )
     p.add_argument("G")
     p.add_argument("F")

@@ -13,7 +13,8 @@ injection onto an edge of F:
   that is not k-shadow-homomorphic to F, for every seed.
 
 Both return a full certificate; both are pure functions of (inputs, seed).
-The module also hosts the exhaustive G-freeness verifier, a Monte-Carlo
+G-freeness of an output is checked exhaustively by
+:func:`.isomorphism.contains_copy`.  The module also hosts a Monte-Carlo
 estimator of how often small vertex subsets contain F, and the
 supersaturation steps (richest extension, blowup copy extraction).
 """
@@ -73,10 +74,6 @@ class PairColoring:
     beta: tuple[int, ...]
     gammas: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.gammas[0])
-
 
 @dataclass(frozen=True)
 class ShadowLabeling:
@@ -85,10 +82,6 @@ class ShadowLabeling:
 
     k: int
     labels: tuple[SetMap, ...]
-
-    @property
-    def n(self) -> int:
-        return self.labels[-1].source[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -194,14 +187,6 @@ def _glued_edges(n: int, f: Hypergraph, k: int, labels: list) -> list[tuple[int,
             pools = [index.get((q, tag, a), set()) for q in subs]
             stack += ((placed + ((v, a),), tag) for v in set.intersection(*pools))
     return edges
-
-
-def verify_g_free(h: Hypergraph, g: Hypergraph) -> Optional[Embedding]:
-    """Alias of :func:`contains_copy`: exhaustive search for a copy of g in h.
-
-    None certifies g-freeness; otherwise the first embedding is returned.
-    """
-    return contains_copy(h, g)
 
 
 def estimate_f_cover(

@@ -76,16 +76,6 @@ class Hypergraph:
                 deg[v] += 1
         return tuple(deg)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def is_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edge_set
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def __str__(self) -> str:
         return f"Hypergraph(r={self.r}, n={self.n}, e={len(self.edges)})"
 

@@ -1,12 +1,10 @@
 """Subgraph embedding search, exact embedding counts, and a minimal canonical form.
 
-One backtracker, :func:`_iter_maps`, finds both embeddings (injective) and
-homomorphisms (see :mod:`.morphisms`).  It is deterministic: pattern vertices
-are processed in a fixed constraint-first order and host candidates are tried
-in increasing id, so the witness returned is the first one of a fixed
-left-to-right search.  Searches that need copies rather than every embedding
-(:func:`contains_copy`, :func:`count_embeddings`, :func:`_copy_masks`) break
-the symmetry between twin pattern vertices, which keeps that first witness.
+One deterministic backtracker, :func:`_iter_maps`, finds both embeddings
+(injective) and homomorphisms (see :mod:`.morphisms`), and states the rules
+both share: equal uniformity, a fixed search order, and the twin rule that
+the copy searches (:func:`contains_copy`, :func:`count_embeddings`,
+:func:`_copy_masks`) use without changing the first witness.
 """
 
 from __future__ import annotations
@@ -29,12 +27,6 @@ class Embedding:
     """An injective edge-preserving vertex map; images[i] hosts pattern vertex i."""
 
     images: tuple[int, ...]
-
-    def apply(self, v: int) -> int:
-        return self.images[v]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.images))
 
 
 class EmbeddingCount(NamedTuple):
@@ -136,6 +128,8 @@ def _iter_maps(
     with (u v) would give an embedding that agrees before u's position and is
     smaller there, a contradiction.  Homomorphisms are not affected.
     """
+    if pattern.r != host.r:
+        raise InvalidParameterError(f"uniformity mismatch: {pattern.r} vs {host.r}")
     n, r = pattern.n, pattern.r
     if injective and (n > host.n or len(pattern.edges) > len(host.edges)):
         return
@@ -226,21 +220,13 @@ def _iter_maps(
 
 def iter_embeddings(pattern: Hypergraph, host: Hypergraph) -> Iterator[Embedding]:
     """All injective edge-preserving maps of pattern into host, in a fixed order."""
-    if pattern.r != host.r:
-        raise InvalidParameterError(
-            f"uniformity mismatch: {pattern.r} vs {host.r}"
-        )
-    for img in _iter_maps(pattern, host, injective=True):
-        yield Embedding(img)
+    yield from map(Embedding, _iter_maps(pattern, host, injective=True))
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Optional[Embedding]:
     """First embedding of pattern into host, or None if host is pattern-free."""
-    if host.r != pattern.r:
-        raise InvalidParameterError(f"uniformity mismatch: {host.r} vs {pattern.r}")
-    for img in _iter_maps(pattern, host, injective=True, break_twins=True):
-        return Embedding(img)
-    return None
+    maps = _iter_maps(pattern, host, injective=True, break_twins=True)
+    return next(map(Embedding, maps), None)
 
 
 def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
@@ -251,8 +237,6 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
     is the image of as many twin-broken maps as pattern has into itself, so
     the copies are the maps into host over the maps into pattern.
     """
-    if pattern.r != host.r:
-        raise InvalidParameterError(f"uniformity mismatch: {pattern.r} vs {host.r}")
     def count(h: Hypergraph) -> int:
         return sum(1 for _ in _iter_maps(pattern, h, injective=True, break_twins=True))
 

@@ -1,5 +1,5 @@
 """Decision procedures with certificates: homomorphism, k-shadow-homomorphism,
-k-tight connectivity, and bounded-depth membership in iterated blowups.
+k-tight connectivity, and membership in iterated blowups.
 
 A k-shadow-homomorphism from G to F assigns every k-subset S of an edge of G
 a target k-subset of an edge of F together with a bijection g_S, such that on
@@ -8,11 +8,8 @@ edge of F.  Equivalently: each edge of G gets an injective map onto an edge
 of F, and any two edges sharing at least k vertices agree pointwise on their
 intersection.
 
-The solver reduces this to a homomorphism search.  Every edge sees its own
-copy (slot) of each of its vertices; the slots of a vertex are merged across
-every two edges that share a k-set.  The merged slots span the slot r-graph
-G_k, which has one edge per edge of G, and G is k-shadow-homomorphic to F
-exactly when G_k is homomorphic to F.  Homomorphisms, like embeddings, come
+The solver reduces this to a homomorphism search on the slot r-graph G_k
+(:func:`find_shadow_homomorphism`).  Homomorphisms, like embeddings, come
 from the one backtracker in :mod:`.isomorphism`.  With k = 1 all slots of a
 vertex merge, G_k is G on its covered vertices, and a 1-shadow-homomorphism
 is a homomorphism restricted to those vertices.
@@ -77,9 +74,8 @@ class TightOrder:
 
 @dataclass(frozen=True)
 class BlowupCertificate:
-    """Steps is the sequence of vertices blown up (each placing a copy of the
-    base pattern), starting from the base pattern itself: the lexicographically
-    least of the shortest sequences whose iterate contains the probe.
+    """Steps: the vertices blown up, each placing a copy of the base pattern,
+    from the base pattern itself (chosen by :func:`is_sub_iterated_blowup`).
     Embedding maps the probe hypergraph into the replayed iterate."""
 
     steps: tuple[int, ...]
@@ -91,11 +87,7 @@ def find_homomorphism(g: Hypergraph, f: Hypergraph) -> Optional[HomWitness]:
 
     Every edge of g must map to distinct vertices forming an edge of f.
     """
-    if g.r != f.r:
-        raise InvalidParameterError(f"uniformity mismatch: {g.r} vs {f.r}")
-    for images in _iter_maps(g, f, injective=False):
-        return HomWitness(images)
-    return None
+    return next(map(HomWitness, _iter_maps(g, f, injective=False)), None)
 
 
 def find_shadow_homomorphism(
@@ -240,13 +232,14 @@ def is_k_tightly_connected(g: Hypergraph, k: int) -> Optional[TightOrder]:
 def is_sub_iterated_blowup(
     g: Hypergraph, f: Hypergraph, max_steps: int
 ) -> Optional[BlowupCertificate]:
-    """Bounded-depth exact membership of g in the blowup closure of f.
+    """Exact membership of g in the blowup closure of f, up to max_steps steps.
 
     Breadth-first over the step sequences of at most max_steps blowups, in
     lexicographic order within each depth; an iterate P is blown up only at
     the least vertex of each Aut(P)-orbit (:func:`.isomorphism._orbits`).
     The steps returned are the lexicographically least shortest sequence
-    whose iterate contains g.  None only means "not within max_steps".
+    whose iterate contains g.  None means "not within max_steps"; for
+    r >= 2 and max_steps >= v(g) - 2 it means g is in no iterate at all.
 
     Exactness.  Suppose a step s_i of that sequence s is not least in its
     orbit: an automorphism a of its iterate sends s_i to some u < s_i.  Both
@@ -256,11 +249,25 @@ def is_sub_iterated_blowup(
     for s_i and the later steps mapped is then as long, lexicographically
     smaller, and its iterate contains g: a contradiction.  So s survives the
     pruning, and every sequence tested before it misses g.
+
+    Depth bound (r >= 2).  An iterate is the leaf set of a tree: f is a
+    node with v(f) children labelled by its vertices, and a step turns a
+    leaf into such a node.  By induction on :func:`.hypergraph.blowup_F`, an
+    r-set of leaves is an edge iff, at its deepest common node, it lies in
+    r distinct children whose labels form an f-edge.  Call the leaves of a
+    copy of g used.  Turning a node that holds no used leaf into a leaf, or
+    replacing a node whose used leaves lie in one child c by c under its
+    label, keeps the edges among used leaves.  Once neither applies and
+    v(g) >= 2, every node has 2 or more children holding used leaves: at most
+    v(g) - 1 nodes, so at most v(g) - 2 steps, where the search stops.  For
+    r = 1 this fails: three 1-edges need 2 steps over f = ({0, 1}, {{0}}).
     """
     if g.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {g.r} vs {f.r}")
     if max_steps < 0:
         raise InvalidParameterError(f"max_steps must be >= 0, got {max_steps}")
+    if g.r >= 2:
+        max_steps = min(max_steps, max(g.n - 2, 0))
     frontier: list[tuple[Hypergraph, tuple[int, ...]]] = [(f, ())]
     for depth in range(max_steps + 1):
         for iterate, steps in frontier:

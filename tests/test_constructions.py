@@ -33,7 +33,6 @@ from erdosrogers import (
     iter_embeddings,
     iterated_blowup,
     richest_extension,
-    verify_g_free,
 )
 from erdosrogers.constructions import (
     RichExtension,
@@ -110,7 +109,7 @@ class TestColoringConstruction:
         for seed in range(8):
             h, _ = construct_coloring(16, k33, ConstructionParams(seed=seed))
             for probe in probes:
-                assert verify_g_free(h, probe) is None
+                assert contains_copy(h, probe) is None
 
     def test_rejects_degenerate_inputs(self, k33):
         with pytest.raises(InvalidParameterError):
@@ -168,7 +167,7 @@ class TestLabelingConstruction:
                 h, _ = construct_shadow_labeling(
                     14, base, 2, ConstructionParams(seed=seed)
                 )
-                assert verify_g_free(h, probe) is None
+                assert contains_copy(h, probe) is None
 
     def test_rejects_bad_k(self, k33):
         with pytest.raises(InvalidParameterError):

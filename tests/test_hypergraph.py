@@ -163,7 +163,7 @@ class TestBlowups:
             v = rng.randrange(6)
             t = rng.randint(1, 4)
             b = blowup_t(h, v, t)
-            assert len(b.edges) == len(h.edges) + (t - 1) * h.degree(v)
+            assert len(b.edges) == len(h.edges) + (t - 1) * h.degrees[v]
             assert b.n == h.n + t - 1
 
     def test_no_edge_spans_two_copies(self, k34):
@@ -193,7 +193,7 @@ class TestBlowups:
             h = random_hypergraph(rng, 3, 6, p=0.4)
             v = rng.randrange(6)
             b = blowup_F(h, v, single)
-            assert len(b.edges) == len(h.edges) + 2 * h.degree(v) + 1
+            assert len(b.edges) == len(h.edges) + 2 * h.degrees[v] + 1
 
     def test_blowup_F_places_pattern(self, k33, h32):
         b = blowup_F(h32, 1, k33)

@@ -11,15 +11,27 @@ from erdosrogers import (
     Embedding,
     Hypergraph,
     InvalidParameterError,
+    ShadowHomWitness,
+    blowup_F,
     build_complete,
     build_h,
     canonical_form,
     contains_copy,
     count_embeddings,
+    enumerate_g_free,
+    estimate_f_cover,
+    extract_blowup_copy,
+    f_exact,
+    find_homomorphism,
+    find_shadow_homomorphism,
     is_embedding,
     is_isomorphic,
+    is_sub_iterated_blowup,
     iter_embeddings,
     iterated_blowup,
+    max_f_free_subset,
+    richest_extension,
+    verify_shadow_hom,
 )
 from erdosrogers.exponents import VERTEX_ENUM_CAP
 from erdosrogers.isomorphism import (
@@ -373,3 +385,39 @@ class TestIsEmbedding:
     def test_rejects_non_edge_image(self, h32):
         host = Hypergraph(3, 4, ((0, 1, 2),))
         assert not is_embedding(h32, host, Embedding((0, 1, 2, 3)))
+
+
+# Each public entry, given a 3-graph a against a 2-graph b.  The embedding
+# kernel states the uniformity rule for the wrappers that call it first; the
+# others state it themselves, before they can return or raise anything else.
+UNIFORMITY_ENTRIES = {
+    "contains_copy": contains_copy,
+    "iter_embeddings": lambda a, b: list(iter_embeddings(a, b)),
+    "count_embeddings": count_embeddings,
+    "find_homomorphism": find_homomorphism,
+    "find_shadow_homomorphism": lambda a, b: find_shadow_homomorphism(a, b, 2),
+    "verify_shadow_hom": lambda a, b: verify_shadow_hom(
+        a, b, 2, ShadowHomWitness(2, (), ())
+    ),
+    "is_sub_iterated_blowup": lambda a, b: is_sub_iterated_blowup(a, b, 2),
+    "blowup_F": lambda a, b: blowup_F(a, 0, b),
+    "max_f_free_subset": max_f_free_subset,
+    "enumerate_g_free": lambda a, b: list(enumerate_g_free(3, a.r, b)),
+    "f_exact": lambda a, b: f_exact(a, b, 3),
+    "estimate_f_cover": lambda a, b: estimate_f_cover(a, b, 3, 10, 0),
+    "richest_extension": lambda a, b: richest_extension(a, b, 0, 1),
+    "extract_blowup_copy": lambda a, b: extract_blowup_copy(a, b, [0]),
+    "_copy_masks": _copy_masks,
+}
+
+
+@pytest.mark.parametrize(
+    "call", UNIFORMITY_ENTRIES.values(), ids=UNIFORMITY_ENTRIES.keys()
+)
+def test_uniformity_mismatch_raises_at_every_entry(call, k33):
+    with pytest.raises(InvalidParameterError, match="uniformity mismatch"):
+        call(k33, build_complete(2, 3))
+
+
+def test_isomorphism_is_false_on_uniformity_mismatch(k33):
+    assert is_isomorphic(k33, build_complete(2, 3)) is False

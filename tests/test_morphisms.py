@@ -391,6 +391,38 @@ class TestIteratedBlowupMembership:
     def test_k34_not_member_of_k33_closure(self, k34, k33):
         assert is_sub_iterated_blowup(k34, k33, 3) is None
 
+    def test_depth_bound_reached(self):
+        # K^2_4 needs exactly v(G) - 2 = 2 steps over K^2_2, so a bound one
+        # lower would refuse it.
+        k24, k22 = build_complete(2, 4), build_complete(2, 2)
+        assert is_sub_iterated_blowup(k24, k22, 1) is None
+        cert = is_sub_iterated_blowup(k24, k22, 5)
+        assert cert is not None and len(cert.steps) == 2
+
+    def test_no_depth_bound_for_r1(self):
+        # Three 1-edges over F = ({0, 1}, {{0}}) need 2 steps, past v(G) - 2.
+        f = Hypergraph(1, 2, ((0,),))
+        g = Hypergraph(1, 3, ((0,), (1,), (2,)))
+        cert = is_sub_iterated_blowup(g, f, 3)
+        assert cert is not None and len(cert.steps) == 2
+
+    def test_depth_bound_against_unpruned_oracle(self):
+        # Searched one step past v(G) - 2, the oracle finds nothing that the
+        # bounded search misses, and the same least steps.  A non-member over
+        # H^3_2 costs the oracle about 3 s (280 iterates at depth 3), so that
+        # base gets two draws.
+        rng = random.Random(73)
+        for f, draws in ((build_complete(3, 3), 6), (build_h(3, 2), 2),
+                         (build_complete(2, 3), 6)):
+            for _ in range(draws):
+                g = random_hypergraph(rng, f.r, rng.randint(3, 4), p=0.5, ensure_edge=True)
+                depth = g.n - 1
+                want = oracle_blowup_member(g, f, depth)
+                cert = is_sub_iterated_blowup(g, f, depth)
+                assert (cert is None) == (want is None)
+                if want is not None:
+                    assert cert.steps == want[0] and len(cert.steps) <= g.n - 2
+
     def test_certificates_replay(self, k33):
         probe = iterated_blowup(k33, [0, 1])
         cert = is_sub_iterated_blowup(probe, k33, 2)
