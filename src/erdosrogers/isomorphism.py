@@ -10,6 +10,7 @@ the copy searches (:func:`contains_copy`, :func:`count_embeddings`,
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import itertools
 import math
@@ -288,6 +289,22 @@ def _copy_masks(
     return copies
 
 
+@functools.cache
+def _code_tables(n: int, r: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The r-set code tables of :func:`_min_edge_list` on n vertices.
+
+    place[j]: the weight of an edge's j-th smallest label in its code.
+    pad[k][u]: the code of the tail k, k+1, ..., k+u-1 in an edge's last u
+    places (only read with u <= n-k).
+    """
+    place = tuple(n ** (r - 1 - j) for j in range(r))
+    pad = tuple(
+        tuple(sum((k + j) * place[r - u + j] for j in range(u)) for u in range(r + 1))
+        for k in range(n + 1)
+    )
+    return place, pad
+
+
 def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     """Branch-and-bound minimum of the sorted edge list over all relabelings.
 
@@ -330,14 +347,7 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     links = _links(h)
     top = max(map(len, links.values()))
     heads = [set(s) for s, link in links.items() if len(link) == top]
-    # place[j]: the weight of an edge's j-th smallest label in its code.
-    place = [n ** (r - 1 - j) for j in range(r)]
-    # pad[k][u]: the code of the tail k, k+1, ..., k+u-1 in an edge's last u
-    # places (only read with u <= n-k).
-    pad = [
-        [sum((k + j) * place[r - u + j] for j in range(u)) for u in range(r + 1)]
-        for k in range(n + 1)
-    ]
+    place, pad = _code_tables(n, r)
     edges_at: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(h.edges):
         for v in e:

@@ -18,7 +18,11 @@ from erdosrogers import (
     induced,
     max_f_free_subset,
 )
-from conftest import oracle_canonical, oracle_max_f_free, random_hypergraph
+from conftest import oracle_canonical, oracle_maps, oracle_max_f_free, random_hypergraph
+
+
+def oracle_free(h: Hypergraph, g: Hypergraph) -> bool:
+    return next(oracle_maps(g, h), None) is None
 
 
 def iso_class_count(n: int, r: int, keep) -> int:
@@ -139,6 +143,36 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             list(enumerate_g_free(9, 3, k33))
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_vertices_than_r(self, n, k34):
+        assert list(enumerate_g_free(n, 3, k34)) == [Hypergraph(3, n, ())]
+
+    def test_probe_larger_than_n_leaves_all_free(self):
+        # Both probes have 5 vertices, so no 3-graph on 4 vertices holds them.
+        for g in (build_complete(3, 5), Hypergraph(3, 5, ((0, 1, 2),))):
+            graphs = list(enumerate_g_free(4, 3, g))
+            assert [len(h.edges) for h in graphs] == [0, 1, 2, 3, 4]
+
+    def test_against_oracles(self):
+        # Seeded random probes plus a disconnected one and ones with isolated
+        # vertices; G-freeness by oracle_maps, classes by oracle_canonical.
+        rng = random.Random(1401)
+        cases = [
+            (2, 5, Hypergraph(2, 4, ((0, 1), (2, 3)))),
+            (2, 5, Hypergraph(2, 4, ((0, 1), (1, 2)))),
+            (3, 5, Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3)))),
+            (1, 6, Hypergraph(1, 4, ((0,), (2,)))),
+        ]
+        for r, n in [(1, 6), (2, 4), (2, 5), (3, 4), (3, 5), (3, 5)]:
+            g = random_hypergraph(rng, r, rng.randint(r + 1, n), p=0.7, ensure_edge=True)
+            cases.append((r, n, g))
+        for r, n, g in cases:
+            graphs = list(enumerate_g_free(n, r, g))
+            for h in graphs:
+                assert oracle_free(h, g)
+                assert oracle_canonical(h) == h.edges
+            assert len(graphs) == iso_class_count(n, r, lambda h: oracle_free(h, g))
+
     @pytest.mark.parametrize("r", [1, 12])
     def test_vertex_capacity(self, r):
         # C(13, r) = 13 is within the C(n, r) bound; the 12-vertex bound of
@@ -194,3 +228,31 @@ class TestFExact:
 
     def test_at_least_one(self, k33, k34):
         assert f_exact(k33, k34, 1).value >= 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_vertices_than_r(self, n, k33, k34):
+        assert f_exact(k33, k34, n).value == n
+
+    def test_against_oracles(self):
+        # The value is the least oracle max-free size over the classes, and
+        # the extremal is the first class attaining it and is G-free.
+        rng = random.Random(1402)
+        pairs = [
+            (Hypergraph(3, 4, ((0, 1, 2),)), build_complete(3, 4), 5),  # isolated vertex
+            (  # disconnected F
+                Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
+                Hypergraph(3, 4, ((0, 1, 2), (0, 1, 3))),
+                6,
+            ),
+            (Hypergraph(2, 4, ((0, 1), (2, 3))), Hypergraph(2, 3, ((0, 1), (0, 2), (1, 2))), 6),
+        ]
+        for r, n in [(1, 6), (2, 5), (2, 6), (3, 5), (3, 5), (4, 6)]:
+            f = random_hypergraph(rng, r, rng.randint(r, r + 2), p=0.6, ensure_edge=True)
+            g = random_hypergraph(rng, r, rng.randint(r + 1, n), p=0.5, ensure_edge=True)
+            pairs.append((f, g, n))
+        for f, g, n in pairs:
+            res = f_exact(f, g, n)
+            sizes = [(oracle_max_f_free(h, f), h) for h in enumerate_g_free(n, f.r, g)]
+            assert res.value == min(size for size, _ in sizes)
+            assert res.extremal == next(h for size, h in sizes if size == res.value)
+            assert oracle_free(res.extremal, g)
