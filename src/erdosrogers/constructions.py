@@ -271,14 +271,14 @@ def richest_extension(
     best_count = -1
     best: Optional[RichExtension] = None
     for emb in iter_embeddings(minor, h):
-        pools = [
-            links.get(tuple(sorted(emb.images[i] for i in o)), set()) for o in others
-        ]
-        cands = pools[0].intersection(*pools[1:]) if pools else set(range(h.n))
-        extenders = sorted(cands.difference(emb.images))
-        if len(extenders) > best_count:
-            best_count = len(extenders)
-            best = RichExtension(base=emb, extenders=tuple(extenders))
+        cands = (1 << h.n) - 1
+        for o in others:
+            cands &= links.get(sum(1 << emb.images[i] for i in o), 0)
+        cands &= ~sum(1 << u for u in emb.images)
+        if cands.bit_count() > best_count:
+            best_count = cands.bit_count()
+            extenders = tuple(u for u in range(h.n) if cands >> u & 1)
+            best = RichExtension(base=emb, extenders=extenders)
     if best is None or best_count < threshold:
         return None
     return best

@@ -2,9 +2,10 @@
 
 One deterministic backtracker, :func:`_iter_maps`, finds both embeddings
 (injective) and homomorphisms (see :mod:`.morphisms`), and states the rules
-both share: equal uniformity, a fixed search order, and the twin rule that
-the copy searches (:func:`contains_copy`, :func:`count_embeddings`,
-:func:`_copy_masks`) use without changing the first witness.
+both share: equal uniformity, a fixed search order, candidate sets as
+bitmasks over the host's link index, and the twin rule that the copy
+searches (:func:`contains_copy`, :func:`count_embeddings`, :func:`_copy_masks`)
+use without changing the first witness.
 """
 
 from __future__ import annotations
@@ -49,12 +50,23 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
     )
 
 
-def _links(h: Hypergraph) -> dict[tuple[int, ...], set[int]]:
-    """Each (r-1)-set inside an edge, mapped to the vertices completing it."""
-    links: dict[tuple[int, ...], set[int]] = {}
+def _links(h: Hypergraph) -> dict[int, int]:
+    """The link index of h, in vertex bitmasks (bit v stands for vertex v).
+
+    Each (r-1)-set inside an edge, keyed by its bitmask, maps to the bitmask
+    of the vertices completing it to an edge.  A key is the sum of its
+    vertices' bits, so an image of r-1 vertices is looked up unsorted, and a
+    sum over a repeated vertex has fewer than r-1 bits and matches no key.
+    The edges are distinct, so each completing vertex's bit is added once.
+    """
+    links: dict[int, int] = {}
+    get = links.get
+    bit = [1 << v for v in range(h.n)]
     for e in h.edges:
-        for i in range(h.r):
-            links.setdefault(e[:i] + e[i + 1 :], set()).add(e[i])
+        bits = [bit[v] for v in e]
+        m = sum(bits)
+        for b in bits:
+            links[m - b] = get(m - b, 0) + b
     return links
 
 
@@ -110,12 +122,31 @@ def _iter_maps(
     Pattern vertices are placed constraint-first: next comes the vertex that
     completes the most pattern edges against those already placed, then the
     one sharing edges with the most placed vertices, then high degree, then
-    small id.  A vertex that completes edges takes its candidates from the
-    host link index: the host vertices completing the images of each such
-    edge's other vertices.  Host candidates are tried in increasing id, so
-    the maps come in lexicographic order of their images read in placement
-    order.  The search keeps an explicit stack, so pattern size is not
+    small id.  The search keeps an explicit stack, so pattern size is not
     bounded by the recursion limit.
+
+    Candidates.  Sets of host vertices are int bitmasks (bit c is vertex c).
+    The candidates of the vertex p placed at a depth are the host vertices
+    that pass every test below; they are tried lowest bit first, that is in
+    increasing id, so the maps come in lexicographic order of their images
+    read in placement order.
+      - Completion: for each pattern edge whose last vertex is p, the link
+        index (:func:`_links`) entry of the images of its other vertices.
+      - Neighbourhood: for each vertex q placed earlier that shares an edge
+        with p, the host neighbourhood of q's image: the vertices sharing a
+        host edge with it, itself excluded.  A q in an edge that p completes
+        is skipped, as that edge's link entry already lies inside it.
+      - Embeddings only: an image not yet used, of host degree at least p's
+        pattern degree (one mask per distinct pattern degree).
+    Each test holds for every map.  An edge through p and q lands on r
+    distinct vertices that form a host edge, so p's image differs from q's
+    and shares a host edge with it; and an embedding's images are distinct,
+    each in at least as many host edges as its vertex has pattern edges.  So
+    no map is removed, and the maps and their order are those of trying
+    every host vertex and testing the edges at their last vertex.  The
+    neighbourhood rule matters at depths where no edge completes, such as
+    the second vertex of a 3-graph pattern: there the other tests leave
+    every unused host vertex of high enough degree.
 
     Twin rule.  With injective and break_twins, only the embeddings whose
     images increase within each twin class of the pattern (see
@@ -140,7 +171,7 @@ def _iter_maps(
         for u in e:
             edges_at[u].append(e)
             adj[u].update(w for w in e if w != u)
-    pdeg, hdeg = pattern.degrees, host.degrees
+    pdeg = pattern.degrees
     # The order keys only grow as vertices are placed, so a heap of
     # (-completes, -link, -degree, v) entries, skipping stale ones, pops the
     # maximum key each time.  With r = 1 every edge starts out complete.
@@ -171,6 +202,12 @@ def _iter_maps(
     for e in pattern.edges:
         last = max(e, key=pos.__getitem__)
         checks[pos[last]].append(tuple(u for u in e if u != last))
+    # nbrs[d]: the vertices placed before depth d that share an edge with
+    # order[d] but no edge completing at d.
+    nbrs: list[list[int]] = []
+    for d, v in enumerate(order):
+        done = {u for others in checks[d] for u in others}
+        nbrs.append([u for u in adj[v] if pos[u] < d and u not in done])
     # twin[d]: the vertex placed last before depth d in order[d]'s twin class.
     twin = [-1] * n
     if injective and break_twins:
@@ -180,43 +217,63 @@ def _iter_maps(
             twin[d] = last_of.get(cls[v], -1)
             last_of[cls[v]] = v
     links = _links(host)
+    nbhd = [0] * host.n
+    if any(nbrs):
+        for e in host.edges:
+            m = sum(1 << v for v in e)
+            for v in e:
+                nbhd[v] |= m
+        nbhd = [m & ~(1 << v) for v, m in enumerate(nbhd)]
+    # base[d]: the host vertices order[d] may take whatever is placed.
+    if injective:
+        hdeg = host.degrees
+        at_least = {
+            k: sum(1 << c for c in range(host.n) if hdeg[c] >= k) for k in set(pdeg)
+        }
+        base = [at_least[pdeg[v]] for v in order]
+    else:
+        base = [(1 << host.n) - 1] * n
     images = [-1] * n
-    used = [False] * host.n
+    bits = [0] * n  # bits[v] == 1 << images[v]
 
-    def candidates(depth: int) -> Iterable[int]:
-        pools = []
-        for others in checks[depth]:
-            pool = links.get(tuple(sorted(images[u] for u in others)))
-            if pool is None:
-                return []
-            pools.append(pool)
-        cands = sorted(pools[0].intersection(*pools[1:])) if pools else range(host.n)
-        if not injective:
-            return cands
-        low = images[twin[depth]] if twin[depth] >= 0 else -1
-        need = pdeg[order[depth]]
-        return [c for c in cands if c > low and not used[c] and hdeg[c] >= need]
+    def candidates(d: int, used: int) -> int:
+        m = base[d] & ~used
+        for others in checks[d]:
+            m &= links.get(sum(map(bits.__getitem__, others)), 0)
+        for u in nbrs[d]:
+            m &= nbhd[images[u]]
+        if twin[d] >= 0:
+            m &= -2 << images[twin[d]]
+        return m
 
     if n == 0:
         yield ()
         return
-    stack = [iter(candidates(0))]
+    # stack[d]: the untried candidates at depth d; used[d]: the images taken
+    # before depth d (none for homomorphisms).
+    keep = -1 if injective else 0
+    stack = [candidates(0, 0)]
+    used = [0]
     while stack:
-        depth = len(stack) - 1
-        p = order[depth]
-        if images[p] >= 0:
-            used[images[p]] = False
-        cand = next(stack[-1], None)
-        if cand is None:
-            images[p] = -1
+        d = len(stack) - 1
+        m = stack[d]
+        if not m:
             stack.pop()
+            used.pop()
             continue
-        images[p] = cand
-        used[cand] = injective
-        if depth + 1 == n:
+        low = m & -m
+        stack[d] = m ^ low
+        p = order[d]
+        images[p] = low.bit_length() - 1
+        bits[p] = low
+        if d + 1 == n:
             yield tuple(images)
         else:
-            stack.append(iter(candidates(depth + 1)))
+            u = used[d] | low & keep
+            m = candidates(d + 1, u)
+            if m:
+                used.append(u)
+                stack.append(m)
 
 
 def iter_embeddings(pattern: Hypergraph, host: Hypergraph) -> Iterator[Embedding]:
@@ -345,8 +402,8 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     if not h.edges:
         return ()
     links = _links(h)
-    top = max(map(len, links.values()))
-    heads = [set(s) for s, link in links.items() if len(link) == top]
+    top = max(m.bit_count() for m in links.values())
+    heads = [s for s, link in links.items() if link.bit_count() == top]
     place, pad = _code_tables(n, r)
     edges_at: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(h.edges):
@@ -364,10 +421,16 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
 
     def allowed(k: int) -> Iterable[int]:
         if k < r - 1:
-            return set().union(*(s for s in heads if s.issuperset(labeled)))
-        if k < r - 1 + top:
-            return links[tuple(sorted(labeled[: r - 1]))]
-        return range(n)
+            given = sum(1 << v for v in labeled)
+            m = 0
+            for s in heads:
+                if s & given == given:
+                    m |= s
+        elif k < r - 1 + top:
+            m = links[sum(1 << v for v in labeled[: r - 1])]
+        else:
+            return range(n)
+        return [v for v in range(n) if m >> v & 1]
 
     def after(c: int) -> int:
         """The code of the r-set next after the one coded c in sorted order,

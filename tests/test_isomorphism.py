@@ -8,6 +8,7 @@ import pytest
 
 from erdosrogers import (
     CapacityError,
+    ConstructionParams,
     Embedding,
     Hypergraph,
     InvalidParameterError,
@@ -16,6 +17,7 @@ from erdosrogers import (
     build_complete,
     build_h,
     canonical_form,
+    construct_coloring,
     contains_copy,
     count_embeddings,
     enumerate_g_free,
@@ -33,10 +35,12 @@ from erdosrogers import (
     richest_extension,
     verify_shadow_hom,
 )
+from erdosrogers import isomorphism
 from erdosrogers.exponents import VERTEX_ENUM_CAP
 from erdosrogers.isomorphism import (
     CANONICAL_CAP,
     _copy_masks,
+    _iter_maps,
     _min_edge_list,
     _orbits,
     _twin_classes,
@@ -45,6 +49,8 @@ from erdosrogers.isomorphism import (
 from conftest import (
     oracle_canonical,
     oracle_embedding_count,
+    oracle_has_hom,
+    oracle_maps,
     oracle_orbits,
     random_hypergraph,
     relabeled,
@@ -84,6 +90,131 @@ class TestContainsCopy:
             pattern = random_hypergraph(rng, 3, rng.randint(3, 5), p=0.5)
             present = contains_copy(host, pattern) is not None
             assert present == (count_embeddings(pattern, host).embeddings > 0)
+
+
+def sweep_pattern(rng: random.Random, r: int, parts: int, isolated: bool) -> Hypergraph:
+    """parts random components on r..r+1 vertices each, their vertices
+    shuffled together, plus up to one isolated vertex when allowed."""
+    comps = [
+        random_hypergraph(rng, r, rng.randint(r, r + 1), p=0.6, ensure_edge=True)
+        for _ in range(parts)
+    ]
+    n = sum(c.n for c in comps) + (rng.randint(0, 1) if isolated else 0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, offset = [], 0
+    for c in comps:
+        edges += [tuple(perm[offset + v] for v in e) for e in c.edges]
+        offset += c.n
+    return Hypergraph(r, n, tuple(edges))
+
+
+def scattered(h: Hypergraph, rng: random.Random, n: int) -> Hypergraph:
+    """h with its vertices sent to random distinct ids in range(n)."""
+    ids = rng.sample(range(n), h.n)
+    return Hypergraph(h.r, n, tuple(tuple(ids[v] for v in e) for e in h.edges))
+
+
+class TestKernelSweep:
+    def test_against_oracles(self, monkeypatch):
+        # Embedding sets against oracle_maps and homomorphism existence
+        # against oracle_has_hom, for r = 2, 3, 4.  Every other case scatters
+        # its host over 65..130 vertex ids, so masks are wider than a machine
+        # word; isolated host vertices change no homomorphism's existence.
+        # Every link lookup must be of r - 1 distinct images: the placed
+        # vertices of an edge get distinct images, by the neighbourhood rule
+        # or by the link entry of an edge completed with both.
+        lookups = []
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        links = isomorphism._links
+        monkeypatch.setattr(isomorphism, "_links", lambda h: Recording(links(h)))
+        rng = random.Random(151)
+        for i in range(240):
+            r = (2, 3, 4)[i % 3]
+            wide = i % 2 == 1
+            host = random_hypergraph(rng, r, rng.randint(r, 7), p=rng.choice((0.3, 0.5, 0.8)))
+            if wide:
+                host = scattered(host, rng, rng.randint(65, 130))
+            pattern = sweep_pattern(rng, r, rng.randint(1, 2), isolated=not wide)
+            maps = list(_iter_maps(pattern, host, True))
+            assert len(set(maps)) == len(maps)
+            assert set(maps) == set(oracle_maps(pattern, host))
+            g = sweep_pattern(rng, r, 2 if r == 2 else 1, isolated=True)
+            target = random_hypergraph(rng, r, rng.randint(r, r + 1), p=0.7)
+            host = scattered(target, rng, rng.randint(65, 130)) if wide else target
+            hom = next(_iter_maps(g, host, False), None)
+            assert (hom is not None) == oracle_has_hom(g, target)
+            assert all(k.bit_count() == r - 1 for k in lookups)
+            del lookups[:]
+
+
+# The full iter_embeddings sequences of three fixed cases, recorded before
+# the kernel moved to bitmask candidate sets.  contains_copy and README rely
+# on the order through the first witness.
+C5M_IN_COLORING = [
+    (9, 5, 0, 6, 7), (9, 5, 0, 6, 11), (9, 7, 0, 6, 5), (9, 7, 0, 6, 11),
+    (9, 11, 0, 6, 5), (9, 11, 0, 6, 7), (6, 5, 0, 9, 7), (6, 5, 0, 9, 11),
+    (6, 7, 0, 9, 5), (6, 7, 0, 9, 11), (6, 11, 0, 9, 5), (6, 11, 0, 9, 7),
+    (9, 5, 6, 0, 7), (9, 5, 6, 0, 11), (9, 7, 6, 0, 5), (9, 7, 6, 0, 11),
+    (9, 11, 6, 0, 5), (9, 11, 6, 0, 7), (0, 5, 6, 9, 7), (0, 5, 6, 9, 11),
+    (0, 7, 6, 9, 5), (0, 7, 6, 9, 11), (0, 11, 6, 9, 5), (0, 11, 6, 9, 7),
+    (6, 5, 9, 0, 7), (6, 5, 9, 0, 11), (6, 7, 9, 0, 5), (6, 7, 9, 0, 11),
+    (6, 11, 9, 0, 5), (6, 11, 9, 0, 7), (0, 5, 9, 6, 7), (0, 5, 9, 6, 11),
+    (0, 7, 9, 6, 5), (0, 7, 9, 6, 11), (0, 11, 9, 6, 5), (0, 11, 9, 6, 7),
+]
+# One map per word, its images as digits.
+K34_IN_K36 = """
+0123 0124 0125 0132 0134 0135 0142 0143 0145 0152 0153 0154 0213 0214 0215
+0231 0234 0235 0241 0243 0245 0251 0253 0254 0312 0314 0315 0321 0324 0325
+0341 0342 0345 0351 0352 0354 0412 0413 0415 0421 0423 0425 0431 0432 0435
+0451 0452 0453 0512 0513 0514 0521 0523 0524 0531 0532 0534 0541 0542 0543
+1023 1024 1025 1032 1034 1035 1042 1043 1045 1052 1053 1054 1203 1204 1205
+1230 1234 1235 1240 1243 1245 1250 1253 1254 1302 1304 1305 1320 1324 1325
+1340 1342 1345 1350 1352 1354 1402 1403 1405 1420 1423 1425 1430 1432 1435
+1450 1452 1453 1502 1503 1504 1520 1523 1524 1530 1532 1534 1540 1542 1543
+2013 2014 2015 2031 2034 2035 2041 2043 2045 2051 2053 2054 2103 2104 2105
+2130 2134 2135 2140 2143 2145 2150 2153 2154 2301 2304 2305 2310 2314 2315
+2340 2341 2345 2350 2351 2354 2401 2403 2405 2410 2413 2415 2430 2431 2435
+2450 2451 2453 2501 2503 2504 2510 2513 2514 2530 2531 2534 2540 2541 2543
+3012 3014 3015 3021 3024 3025 3041 3042 3045 3051 3052 3054 3102 3104 3105
+3120 3124 3125 3140 3142 3145 3150 3152 3154 3201 3204 3205 3210 3214 3215
+3240 3241 3245 3250 3251 3254 3401 3402 3405 3410 3412 3415 3420 3421 3425
+3450 3451 3452 3501 3502 3504 3510 3512 3514 3520 3521 3524 3540 3541 3542
+4012 4013 4015 4021 4023 4025 4031 4032 4035 4051 4052 4053 4102 4103 4105
+4120 4123 4125 4130 4132 4135 4150 4152 4153 4201 4203 4205 4210 4213 4215
+4230 4231 4235 4250 4251 4253 4301 4302 4305 4310 4312 4315 4320 4321 4325
+4350 4351 4352 4501 4502 4503 4510 4512 4513 4520 4521 4523 4530 4531 4532
+5012 5013 5014 5021 5023 5024 5031 5032 5034 5041 5042 5043 5102 5103 5104
+5120 5123 5124 5130 5132 5134 5140 5142 5143 5201 5203 5204 5210 5213 5214
+5230 5231 5234 5240 5241 5243 5301 5302 5304 5310 5312 5314 5320 5321 5324
+5340 5341 5342 5401 5402 5403 5410 5412 5413 5420 5421 5423 5430 5431 5432
+"""
+PATH_IN_C7 = [
+    (6, 0, 1, 2), (1, 0, 6, 5), (2, 1, 0, 6), (0, 1, 2, 3), (3, 2, 1, 0),
+    (1, 2, 3, 4), (4, 3, 2, 1), (2, 3, 4, 5), (5, 4, 3, 2), (3, 4, 5, 6),
+    (6, 5, 4, 3), (4, 5, 6, 0), (5, 6, 0, 1), (0, 6, 5, 4),
+]
+
+
+class TestYieldOrder:
+    def test_c5_minus_in_a_coloring(self, tc5_gap):
+        host, _ = construct_coloring(12, build_complete(3, 4), ConstructionParams(seed=3))
+        got = [e.images for e in iter_embeddings(tc5_gap, host)]
+        assert got == C5M_IN_COLORING
+
+    def test_k34_in_k36(self, k34):
+        got = [e.images for e in iter_embeddings(k34, build_complete(3, 6))]
+        assert got == [tuple(map(int, w)) for w in K34_IN_K36.split()]
+
+    def test_path_in_c7(self):
+        path = Hypergraph(2, 4, ((0, 1), (1, 2), (2, 3)))
+        got = [e.images for e in iter_embeddings(path, tight_cycle(2, 7))]
+        assert got == PATH_IN_C7
 
 
 def twin_heavy_pattern(rng: random.Random, r: int) -> Hypergraph:
