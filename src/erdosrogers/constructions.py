@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, blowup_F, induced, shadow
-from .isomorphism import Embedding, _copy_masks, _links, contains_copy, iter_embeddings
+from .isomorphism import Embedding, _copy_masks, contains_copy, iter_embeddings
 from .morphisms import SetMap
 from .randomness import sample_sorted, shuffled, substream
 
@@ -46,16 +46,13 @@ class ConstructionParams:
     c1: Fraction = Fraction(1)
     seed: int = 0
 
-    def __post_init__(self):
+    def num_colors(self, n: int) -> int:
         if self.c1 <= 0:
             raise InvalidParameterError("c1 must be positive")
         try:
-            float(self.c1)
+            scaled = float(self.c1) * math.log(n)
         except OverflowError:
             raise InvalidParameterError("c1 is too large to be a float") from None
-
-    def num_colors(self, n: int) -> int:
-        scaled = float(self.c1) * math.log(n)
         ell = max(1, round(scaled)) if math.isfinite(scaled) else math.inf
         if ell > math.comb(n, 2):
             raise CapacityError(f"c1 = {float(self.c1):g} gives over C({n}, 2) colors")
@@ -267,7 +264,7 @@ def richest_extension(
     minor = induced(g, rest)
     # Base positions of the other vertices of each edge through v.
     others = [[rel[w] for w in e if w != v] for e in g.edges if v in e]
-    links = _links(h)
+    links = h.links
     best_count = -1
     best: Optional[RichExtension] = None
     for emb in iter_embeddings(minor, h):

@@ -65,15 +65,15 @@ def _densest(f: Hypergraph, offset: int) -> DensityReport:
             f"exact enumeration limited to {VERTEX_ENUM_CAP} covered vertices, "
             f"got {len(pool)}"
         )
-    nbrs = {v: {u for e in sh.edges if v in e for u in e if u != v} for v in pool}
+    nbhd = sh.nbhd
     # A vertex set with an isolated vertex has the same edges as the smaller
     # set those edges cover, so it only repeats that set's witness.  Only the
     # sets covered by their own shadow edges are visited; each is its witness.
     scored = []
     for size in range(2, len(pool) + 1):
         for s in itertools.combinations(pool, size):
-            inside = set(s)
-            degrees = [len(nbrs[v] & inside) for v in s]
+            inside = sum(1 << v for v in s)
+            degrees = [(nbhd[v] & inside).bit_count() for v in s]
             if all(degrees):
                 scored.append((Fraction(sum(degrees) // 2 + offset, size - 1), -size, s))
     # Maximum value, then fewest vertices, then the least (canonical form,

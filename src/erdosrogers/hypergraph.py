@@ -4,7 +4,9 @@ The :class:`Hypergraph` value is the universal carrier for every structure in
 this package: patterns, hosts, shadows and blowup iterates.  Vertices are the
 integers ``0 .. n-1`` and edges are sorted ``r``-tuples kept in sorted
 (lexicographic) order, so two equal hypergraphs always compare equal and
-serialize identically.
+serialize identically.  The indices the searches read are cached on the
+value, built on first use: ``edge_set``, ``degrees``, and in vertex bitmasks
+``links`` and ``nbhd``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,35 @@ class Hypergraph:
             for v in e:
                 deg[v] += 1
         return tuple(deg)
+
+    @cached_property
+    def links(self) -> dict[int, int]:
+        """The link index, in vertex bitmasks (bit v stands for vertex v).
+
+        Each (r-1)-set inside an edge, keyed by its bitmask, maps to the
+        bitmask of the vertices completing it to an edge.  A key is the sum of
+        its vertices' bits, so an image of r-1 vertices is looked up unsorted,
+        and a sum over a repeated vertex has fewer than r-1 bits and matches
+        no key.  The edges are distinct, so each completing vertex's bit is
+        added once.
+        """
+        links: dict[int, int] = {}
+        for e in self.edges:
+            bits = [1 << v for v in e]
+            m = sum(bits)
+            for b in bits:
+                links[m - b] = links.get(m - b, 0) + b
+        return links
+
+    @cached_property
+    def nbhd(self) -> tuple[int, ...]:
+        """For each vertex, the bitmask of the other vertices sharing an edge with it."""
+        nbhd = [0] * self.n
+        for e in self.edges:
+            m = sum(1 << v for v in e)
+            for v in e:
+                nbhd[v] |= m
+        return tuple(m & ~(1 << v) for v, m in enumerate(nbhd))
 
     def __str__(self) -> str:
         return f"Hypergraph(r={self.r}, n={self.n}, e={len(self.edges)})"

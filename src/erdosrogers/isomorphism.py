@@ -3,9 +3,9 @@
 One deterministic backtracker, :func:`_iter_maps`, finds both embeddings
 (injective) and homomorphisms (see :mod:`.morphisms`), and states the rules
 both share: equal uniformity, a fixed search order, candidate sets as
-bitmasks over the host's link index, and the twin rule that the copy
-searches (:func:`contains_copy`, :func:`count_embeddings`, :func:`_copy_masks`)
-use without changing the first witness.
+bitmasks over the host's :attr:`~.Hypergraph.links` and :attr:`~.Hypergraph.nbhd`,
+and the twin rule that the copy searches (:func:`contains_copy`,
+:func:`count_embeddings`, :func:`_copy_masks`) use without changing the first witness.
 """
 
 from __future__ import annotations
@@ -48,26 +48,6 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
     return all(
         tuple(sorted(img[v] for v in e)) in host.edge_set for e in pattern.edges
     )
-
-
-def _links(h: Hypergraph) -> dict[int, int]:
-    """The link index of h, in vertex bitmasks (bit v stands for vertex v).
-
-    Each (r-1)-set inside an edge, keyed by its bitmask, maps to the bitmask
-    of the vertices completing it to an edge.  A key is the sum of its
-    vertices' bits, so an image of r-1 vertices is looked up unsorted, and a
-    sum over a repeated vertex has fewer than r-1 bits and matches no key.
-    The edges are distinct, so each completing vertex's bit is added once.
-    """
-    links: dict[int, int] = {}
-    get = links.get
-    bit = [1 << v for v in range(h.n)]
-    for e in h.edges:
-        bits = [bit[v] for v in e]
-        m = sum(bits)
-        for b in bits:
-            links[m - b] = get(m - b, 0) + b
-    return links
 
 
 def _twin_classes(h: Hypergraph) -> list[int]:
@@ -130,10 +110,10 @@ def _iter_maps(
     that pass every test below; they are tried lowest bit first, that is in
     increasing id, so the maps come in lexicographic order of their images
     read in placement order.
-      - Completion: for each pattern edge whose last vertex is p, the link
-        index (:func:`_links`) entry of the images of its other vertices.
+      - Completion: for each pattern edge whose last vertex is p, the host's
+        ``links`` entry of the images of its other vertices.
       - Neighbourhood: for each vertex q placed earlier that shares an edge
-        with p, the host neighbourhood of q's image: the vertices sharing a
+        with p, the host's ``nbhd`` entry of q's image: the vertices sharing a
         host edge with it, itself excluded.  A q in an edge that p completes
         is skipped, as that edge's link entry already lies inside it.
       - Embeddings only: an image not yet used, of host degree at least p's
@@ -216,14 +196,7 @@ def _iter_maps(
         for d, v in enumerate(order):
             twin[d] = last_of.get(cls[v], -1)
             last_of[cls[v]] = v
-    links = _links(host)
-    nbhd = [0] * host.n
-    if any(nbrs):
-        for e in host.edges:
-            m = sum(1 << v for v in e)
-            for v in e:
-                nbhd[v] |= m
-        nbhd = [m & ~(1 << v) for v, m in enumerate(nbhd)]
+    links, nbhd = host.links, host.nbhd
     # base[d]: the host vertices order[d] may take whatever is placed.
     if injective:
         hdeg = host.degrees
@@ -316,9 +289,9 @@ def _copy_masks(
     a copy of f exactly when |W| >= v(f) and some mask lies inside W.  A core
     copy is a union of vertex-disjoint copies of the core's components, each
     listed by the twin-broken search; an edgeless f gives the one mask 0.
-    None when the listing would take more than `limit` steps, counting, per
-    component, one per host edge (the search's link index) and one per map,
-    and one per pair tried in a union.
+    None when the listing would take more than `limit` steps, counting, if
+    f has an edge, one per host edge (h's indices, built once), then one per
+    map of each component and one per pair tried in a union.
     """
     if f.r != h.r:
         raise InvalidParameterError(f"uniformity mismatch: {f.r} vs {h.r}")
@@ -328,11 +301,10 @@ def _copy_masks(
         parts = [p for p in parts if p.isdisjoint(e)] + [joined]
     bit = [1 << v for v in range(h.n)]
     copies = {0}
-    steps = 0
+    steps = len(h.edges) if parts else 0
+    if steps > limit:
+        return None
     for p in parts:
-        steps += len(h.edges)
-        if steps > limit:
-            return None
         masks = set()
         for img in _iter_maps(induced(f, p), h, injective=True, break_twins=True):
             steps += 1
@@ -401,7 +373,7 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     n, r = h.n, h.r
     if not h.edges:
         return ()
-    links = _links(h)
+    links = h.links
     top = max(m.bit_count() for m in links.values())
     heads = [s for s, link in links.items() if link.bit_count() == top]
     place, pad = _code_tables(n, r)

@@ -17,6 +17,7 @@ is a homomorphism restricted to those vertices.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -268,18 +269,17 @@ def is_sub_iterated_blowup(
         raise InvalidParameterError(f"max_steps must be >= 0, got {max_steps}")
     if g.r >= 2:
         max_steps = min(max_steps, max(g.n - 2, 0))
-    frontier: list[tuple[Hypergraph, tuple[int, ...]]] = [(f, ())]
-    for depth in range(max_steps + 1):
-        for iterate, steps in frontier:
-            emb = contains_copy(iterate, g)
-            if emb is not None:
-                return BlowupCertificate(steps=steps, embedding=emb)
-        if depth == max_steps:
-            break
-        frontier = [
-            (blowup_F(iterate, v, f), steps + (v,))
-            for iterate, steps in frontier
-            for v, low in enumerate(_orbits(iterate))
-            if low == v
-        ]
+    # Each iterate is blown up right after its search, then dropped with its index.
+    queue = collections.deque([(f, ())])
+    while queue:
+        iterate, steps = queue.popleft()
+        emb = contains_copy(iterate, g)
+        if emb is not None:
+            return BlowupCertificate(steps=steps, embedding=emb)
+        if len(steps) < max_steps:
+            queue.extend(
+                (blowup_F(iterate, v, f), steps + (v,))
+                for v, low in enumerate(_orbits(iterate))
+                if low == v
+            )
     return None

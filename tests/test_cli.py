@@ -228,6 +228,21 @@ def test_c1_float_overflow_exit_2(files, capsys):
     assert captured.err.startswith("error: c1")
 
 
+def test_c1_zero_read_only_by_coloring(files, capsys):
+    # Only the coloring's color count reads c1, so only it rejects c1 = 0.
+    argv = ["construct", "labeling", "-n", "8", "-F", files["k33"], "-k", "2",
+            "--seed", "1", "--c1", "0"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["inputs"]["c1"] == "0"
+    argv = ["construct", "coloring", "-n", "8", "-F", files["k33"], "--seed", "1",
+            "--c1", "0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: c1")
+
+
 @pytest.mark.parametrize(
     "n, c1", [("30", "1e308"), ("8", "20")], ids=["c1-ln-n-inf", "colors-over-pairs"]
 )

@@ -101,6 +101,13 @@ class TestColoringConstruction:
         with pytest.raises(CapacityError):
             ConstructionParams(c1=Fraction(10**308)).num_colors(90)
 
+    def test_c1_checked_where_read(self):
+        # The labeling never reads c1, so params with any c1 construct.
+        for c1 in (0, -1, Fraction(10**400)):
+            params = ConstructionParams(c1=c1)
+            with pytest.raises(InvalidParameterError, match="c1"):
+                params.num_colors(8)
+
     def test_freeness_for_tight_non_homomorphic_probes(self, k33):
         probes = [build_complete(3, 4), tight_c5_minus_edge()]
         for probe in probes:

@@ -14,6 +14,7 @@ from erdosrogers import (
     build_complete,
     build_h,
     check_concluding_condition,
+    exponents,
 )
 from conftest import oracle_canonical, oracle_max_density, random_hypergraph
 
@@ -116,6 +117,34 @@ class TestWitnesses:
         rep = alpha(k33)
         assert rep.witness_vertices == (0, 1)
         assert rep.witness_edges == ((0, 1),)
+
+
+class TestTieBreakSize:
+    def test_tied_witnesses_share_at_most_one_vertex(self, monkeypatch):
+        # README's capacity bound.  e(S) - x|S| is supermodular, so two
+        # fewest-vertex maximizers sharing two vertices would leave their
+        # intersection as a maximizer with fewer vertices.  A tie within 16
+        # covered vertices therefore compares witnesses of at most 8.
+        tied = []
+        canon = exponents._witness_canon
+        monkeypatch.setattr(
+            exponents, "_witness_canon", lambda v, e: tied.append(set(v)) or canon(v, e)
+        )
+        # Two K^3_5 sharing vertex 4: their K_5 shadows tie for alpha and beta.
+        k5s = [c for c in itertools.combinations(range(9), 3) if max(c) < 5 or min(c) > 3]
+        rng = random.Random(89)
+        cases = [Hypergraph(3, 9, k5s)] + [
+            random_hypergraph(rng, r, rng.randint(3, 8), p=rng.choice((0.3, 0.6)),
+                              ensure_edge=True)
+            for r in (2, 3) for _ in range(60)
+        ]
+        for f in cases:
+            for fn in (alpha, beta):
+                del tied[:]
+                fn(f)
+                assert all(len(a & b) <= 1 for a, b in itertools.combinations(tied, 2))
+                if f is cases[0]:
+                    assert tied == [set(range(5)), set(range(4, 9))]
 
 
 class TestOracleAgreement:

@@ -14,6 +14,7 @@ from erdosrogers import (
     canonical_form,
     contains_copy,
     induced,
+    richest_extension,
     shadow,
 )
 from conftest import random_hypergraph
@@ -58,6 +59,48 @@ class TestHypergraph:
 
     def test_degrees(self, h32):
         assert h32.degrees == (2, 2, 1, 1)
+
+
+def mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+class TestIndices:
+    """links and nbhd against their definitions, read off the edges as sets."""
+
+    @staticmethod
+    def hosts():
+        rng = random.Random(44)
+        for r in (1, 2, 3, 4):
+            yield Hypergraph(r, r + 2, ())
+            for n in (r, r + 3, 9):
+                yield random_hypergraph(rng, r, n, p=0.5)
+            # Scattered over more than 64 ids, so masks span machine words.
+            h = random_hypergraph(rng, r, 7, p=0.6)
+            ids = rng.sample(range(130), h.n)
+            yield Hypergraph(r, 130, [[ids[v] for v in e] for e in h.edges])
+
+    def test_against_definition(self):
+        for h in self.hosts():
+            completing: dict[frozenset, set[int]] = {}
+            for e in h.edges:
+                for v in e:
+                    completing.setdefault(frozenset(e) - {v}, set()).add(v)
+            assert h.links == {mask(s): mask(c) for s, c in completing.items()}
+            assert h.nbhd == tuple(
+                mask({u for e in h.edges if v in e for u in e} - {v}) for v in range(h.n)
+            )
+            if h.r == 1:  # the one key is the empty set's; no vertex has a neighbour
+                assert set(h.links) <= {0} and not any(h.nbhd)
+
+    def test_built_once(self):
+        # Searches on one host read its cached index, not a fresh one.
+        h = random_hypergraph(random.Random(3), 3, 8, p=0.6)
+        links, nbhd = h.links, h.nbhd
+        assert contains_copy(h, build_complete(3, 4)) is not None
+        canonical_form(h)
+        assert richest_extension(h, build_complete(3, 4), 0, threshold=1) is not None
+        assert h.links is links and h.nbhd is nbhd
 
 
 class TestBuilders:

@@ -35,7 +35,6 @@ from erdosrogers import (
     richest_extension,
     verify_shadow_hom,
 )
-from erdosrogers import isomorphism
 from erdosrogers.exponents import VERTEX_ENUM_CAP
 from erdosrogers.isomorphism import (
     CANONICAL_CAP,
@@ -116,7 +115,7 @@ def scattered(h: Hypergraph, rng: random.Random, n: int) -> Hypergraph:
 
 
 class TestKernelSweep:
-    def test_against_oracles(self, monkeypatch):
+    def test_against_oracles(self):
         # Embedding sets against oracle_maps and homomorphism existence
         # against oracle_has_hom, for r = 2, 3, 4.  Every other case scatters
         # its host over 65..130 vertex ids, so masks are wider than a machine
@@ -131,8 +130,10 @@ class TestKernelSweep:
                 lookups.append(key)
                 return super().get(key, default)
 
-        links = isomorphism._links
-        monkeypatch.setattr(isomorphism, "_links", lambda h: Recording(links(h)))
+        def recorded(host: Hypergraph) -> Hypergraph:
+            host.__dict__["links"] = Recording(host.links)
+            return host
+
         rng = random.Random(151)
         for i in range(240):
             r = (2, 3, 4)[i % 3]
@@ -141,13 +142,13 @@ class TestKernelSweep:
             if wide:
                 host = scattered(host, rng, rng.randint(65, 130))
             pattern = sweep_pattern(rng, r, rng.randint(1, 2), isolated=not wide)
-            maps = list(_iter_maps(pattern, host, True))
+            maps = list(_iter_maps(pattern, recorded(host), True))
             assert len(set(maps)) == len(maps)
             assert set(maps) == set(oracle_maps(pattern, host))
             g = sweep_pattern(rng, r, 2 if r == 2 else 1, isolated=True)
             target = random_hypergraph(rng, r, rng.randint(r, r + 1), p=0.7)
             host = scattered(target, rng, rng.randint(65, 130)) if wide else target
-            hom = next(_iter_maps(g, host, False), None)
+            hom = next(_iter_maps(g, recorded(host), False), None)
             assert (hom is not None) == oracle_has_hom(g, target)
             assert all(k.bit_count() == r - 1 for k in lookups)
             del lookups[:]
@@ -316,11 +317,12 @@ class TestCopyMasks:
             assert _copy_masks(f, h) == want
 
     def test_limit(self):
-        # Two disjoint edges in K^3_6: per component, 20 host edges and 20
-        # maps, then 1 * 20 and 20 * 20 pairs tried in the unions.
+        # Two disjoint edges in K^3_6: 20 host edges once for the index, then
+        # per component 20 maps, and 1 * 20 and 20 * 20 pairs tried in the
+        # unions: 20 + 20 + 20 + 20 + 400.
         f, h = Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))), build_complete(3, 6)
-        assert _copy_masks(f, h, limit=500) == {0b111111}
-        assert _copy_masks(f, h, limit=499) is None
+        assert _copy_masks(f, h, limit=480) == {0b111111}
+        assert _copy_masks(f, h, limit=479) is None
         assert _copy_masks(build_complete(3, 3), h, limit=39) is None
 
 
