@@ -31,7 +31,7 @@ from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, blowup_F, induced, shadow
 from .isomorphism import Embedding, _copy_masks, contains_copy, iter_embeddings
 from .morphisms import SetMap
-from .randomness import sample_sorted, shuffled, substream
+from .randomness import below, sample_sorted, shuffled, substream
 
 EXHAUSTIVE_COVER_CAP = 10**6
 
@@ -115,7 +115,7 @@ def construct_coloring(
         raise InvalidParameterError(f"need n >= {f.n}, got {n}")
     ell = params.num_colors(n)
     beta = tuple(
-        substream(params.seed, "pair-color", i).randrange(ell)
+        below(substream(params.seed, "pair-color", i), ell)
         for i in range(math.comb(n, 2))
     )
     gammas = tuple(_sample_color_map(params.seed, t, n, f.n) for t in range(ell))
@@ -127,7 +127,7 @@ def construct_coloring(
 
 def _sample_color_map(seed: int, t: int, n: int, target_size: int) -> tuple[int, ...]:
     rng = substream(seed, "color-map", t)
-    return tuple(rng.randrange(target_size) for _ in range(n))
+    return tuple(below(rng, target_size) for _ in range(n))
 
 
 def construct_shadow_labeling(
@@ -143,9 +143,7 @@ def construct_shadow_labeling(
     targets = shadow(f, k).edges
     labels = []
     for i, s in enumerate(itertools.combinations(range(n), k)):
-        target = targets[
-            substream(params.seed, "kset-target", i).randrange(len(targets))
-        ]
+        target = targets[below(substream(params.seed, "kset-target", i), len(targets))]
         images = tuple(shuffled(target, substream(params.seed, "kset-bijection", i)))
         labels.append(SetMap(source=s, images=images))
     cert = ShadowLabeling(k=k, labels=tuple(labels))
@@ -156,33 +154,57 @@ def construct_shadow_labeling(
 def _glued_edges(n: int, f: Hypergraph, k: int, labels: list) -> list[tuple[int, ...]]:
     """The r-sets whose k-subsets carry one tag and maps that glue into one
     injection onto an edge of F, unsorted.  labels[i] = (tag, images) maps the
-    i-th k-set S of range(n), in lexicographic order, by S[j] -> images[j].
+    i-th k-set S of range(n), in lexicographic order, by S[j] -> images[j];
+    images is a tuple.
 
     Every prefix of an edge obeys the rule with its image inside an F-edge, so
     an edge grows from its first k vertices by one larger v -> a at a time,
     adding exactly the k-sets Q + v, Q a (k-1)-subset of the prefix.  Per Q,
-    the index lists each v for which Q + v has the prefix's tag and images
-    (glued(Q), a): the intersection loses no edge and scans no r-set.
+    the index holds the bitmask of each v for which Q + v has the prefix's tag
+    and images (glued(Q), a): the pools' intersection loses no edge and scans
+    no r-set.  A k-set starts a prefix when its images are an ordered k-tuple
+    inside an F-edge, and the a that extend an image set inside an F-edge are
+    found once per image set.
     """
-    edge_sets = [set(e) for e in f.edges]
-    index: dict[tuple, set[int]] = {}
+    # Each ordered k-tuple inside an F-edge, with its bitmask.
+    in_edge = {
+        p: sum(1 << a for a in p) for e in f.edges for p in itertools.permutations(e, k)
+    }
+    edge_masks = [sum(1 << a for a in e) for e in f.edges]
+    index: dict[tuple, int] = {}
     stack = []
     for s, (tag, images) in zip(itertools.combinations(range(n), k), labels):
-        placed = tuple(zip(s, images))
-        index.setdefault((placed[:-1], tag, images[-1]), set()).add(s[-1])
-        if len(set(images)) == k and any(e.issuperset(images) for e in edge_sets):
-            stack.append((placed, tag))
+        key = (s[:-1], images[:-1], tag, images[-1])
+        index[key] = index.get(key, 0) | 1 << s[-1]
+        if images in in_edge:
+            stack.append((s, images, in_edge[images], tag))
+    extensions: dict[int, list[int]] = {}
     edges = []
     while stack:
-        placed, tag = stack.pop()
-        if len(placed) == f.r:
-            edges.append(tuple(v for v, _ in placed))
+        verts, images, used, tag = stack.pop()
+        if len(verts) == f.r:
+            edges.append(verts)
             continue
-        image = {a for _, a in placed}
-        for a in set().union(*(e for e in edge_sets if image <= e)) - image:
-            subs = itertools.combinations(placed, k - 1)
-            pools = [index.get((q, tag, a), set()) for q in subs]
-            stack += ((placed + ((v, a),), tag) for v in set.intersection(*pools))
+        if used not in extensions:
+            room = 0
+            for e in edge_masks:
+                if e & used == used:
+                    room |= e
+            extensions[used] = [a for a in range(f.n) if (room & ~used) >> a & 1]
+        subs = list(
+            zip(itertools.combinations(verts, k - 1), itertools.combinations(images, k - 1))
+        )
+        for a in extensions[used]:
+            pool = -1
+            for q, glued in subs:
+                pool &= index.get((q, glued, tag, a), 0)
+                if not pool:
+                    break
+            while pool:
+                low = pool & -pool
+                v = low.bit_length() - 1
+                stack.append((verts + (v,), images + (a,), used | 1 << a, tag))
+                pool ^= low
     return edges
 
 

@@ -9,10 +9,13 @@ against the definition written out, density exponents sweep every edge subset
 of a pair shadow built here, maximum pattern-free subsets sweep vertex
 subsets as bitmasks, and blowup membership replays every step sequence.
 Library results are checked against these on instances small enough to
-enumerate.  From the library this file imports only Hypergraph,
-build_complete and build_h.
+enumerate.  The seeded streams of the constructions are re-derived from
+README's contract with hashlib and the standard library's random.Random.
+From the library this file imports only Hypergraph, build_complete and
+build_h.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -294,3 +297,51 @@ def oracle_blowup_member(g: Hypergraph, f: Hypergraph, max_steps: int):
             if next(oracle_maps(g, host), None) is not None:
                 return steps, host
     return None
+
+
+def oracle_substream(seed: int, kind: str, index: int) -> random.Random:
+    """README's substream: the first 8 bytes of SHA-256("seed|kind|index"),
+    big-endian, seeding the standard library's Mersenne Twister."""
+    key = hashlib.sha256(f"{seed}|{kind}|{index}".encode()).digest()
+    return random.Random(int.from_bytes(key[:8], "big"))
+
+
+def oracle_fisher_yates(items, rng: random.Random) -> list:
+    a = list(items)
+    for i in range(len(a) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        a[i], a[j] = a[j], a[i]
+    return a
+
+
+def oracle_sample_sorted(rng: random.Random, n: int, w: int) -> tuple:
+    """The first w places of a partial Fisher-Yates shuffle of range(n), sorted."""
+    pool = list(range(n))
+    for i in range(w):
+        j = rng.randrange(i, n)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:w]))
+
+
+def oracle_coloring(seed: int, n: int, ell: int, target_n: int) -> tuple:
+    """(beta, gammas) of the pair coloring: one substream per vertex pair and
+    one per color."""
+    pairs = n * (n - 1) // 2
+    beta = tuple(oracle_substream(seed, "pair-color", i).randrange(ell) for i in range(pairs))
+    gammas = []
+    for t in range(ell):
+        rng = oracle_substream(seed, "color-map", t)
+        gammas.append(tuple(rng.randrange(target_n) for _ in range(n)))
+    return beta, tuple(gammas)
+
+
+def oracle_labeling(seed: int, n: int, k: int, f: Hypergraph) -> list:
+    """[(S, images)] of the k-set labeling: per k-set S, a target drawn from
+    the sorted k-subsets of f's edges, then a shuffle of it."""
+    targets = sorted({c for e in f.edges for c in itertools.combinations(e, k)})
+    labels = []
+    for i, s in enumerate(itertools.combinations(range(n), k)):
+        target = targets[oracle_substream(seed, "kset-target", i).randrange(len(targets))]
+        images = oracle_fisher_yates(target, oracle_substream(seed, "kset-bijection", i))
+        labels.append((s, tuple(images)))
+    return labels

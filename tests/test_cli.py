@@ -1,6 +1,8 @@
 """CLI surface: exit codes, report structure, file round-trips, determinism."""
 
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ from erdosrogers import Hypergraph, build_complete, build_h
 from erdosrogers import cli
 from erdosrogers.cli import run
 from erdosrogers.hgio import load_hg, save_hg
-from conftest import tight_c5_minus_edge
+from conftest import random_hypergraph, tight_c5_minus_edge
 
 
 HOSTS = {
@@ -19,10 +21,13 @@ HOSTS = {
     "tc5": tight_c5_minus_edge(),
     "k312": build_complete(3, 12),
     "m2": Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
+    # 40 vertices, 87 triples: about a third of its 8-sets hold one.
+    "r40": random_hypergraph(random.Random(40), 3, 40, p=0.01),
 }
 
 # Per invocation: argv (paths relative to the directory holding HOSTS), the
-# exit code, and the whole report without wall_time_ms (null: no report).
+# exit code, the SHA-256 of every file it writes (files; absent: none), and
+# the whole report without wall_time_ms (null: no report).
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
@@ -149,7 +154,13 @@ def test_f_exact(files, capsys):
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
 def test_golden_report(files, capsys, monkeypatch, case):
     monkeypatch.chdir(files["dir"])
+    inputs = set(files["dir"].iterdir())
     code, report = run_json(capsys, case["argv"])
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in set(files["dir"].iterdir()) - inputs
+    }
+    assert written == case.get("files", {})
     if report is not None:
         assert report.pop("wall_time_ms") >= 0
     assert code == case["code"]

@@ -63,12 +63,19 @@ class TestColoringConstruction:
             18, k33, params
         )
 
-    @pytest.mark.parametrize("c1", [1, 3])
-    @pytest.mark.parametrize("seed", [5, 7, 11])
-    @pytest.mark.parametrize("name", list(EDGE_RULE_PATTERNS))
-    def test_certificate_recomputes_edges(self, name, seed, c1):
+    # n = 70 makes the gluing's vertex bitmasks span two machine words.
+    @pytest.mark.parametrize(
+        "name, seed, c1, n",
+        [
+            pytest.param(name, seed, c1, 16 if f.r == 3 else 20, id=f"{name}-{seed}-{c1}")
+            for c1 in (1, 3)
+            for seed in (5, 7, 11)
+            for name, f in EDGE_RULE_PATTERNS.items()
+        ]
+        + [pytest.param("K33", 5, 1, 70, id="K33-5-1-n70")],
+    )
+    def test_certificate_recomputes_edges(self, name, seed, c1, n):
         f = EDGE_RULE_PATTERNS[name]
-        n = 16 if f.r == 3 else 20
         h, cert = construct_coloring(n, f, ConstructionParams(c1=c1, seed=seed))
         color = dict(zip(itertools.combinations(range(n), 2), cert.beta))
         expected = []
@@ -140,15 +147,20 @@ class TestLabelingConstruction:
         )
 
     # c1 only sets the color count, which the labeling does not use.
-    @pytest.mark.parametrize("seed", [5, 7, 11])
+    # r = 4 labelings are sparse: at n = 20 every one of these is empty.
+    # n = 70 makes the gluing's vertex bitmasks span two machine words.
     @pytest.mark.parametrize(
-        "name, k",
-        [(name, k) for name, f in EDGE_RULE_PATTERNS.items() for k in range(2, f.r)],
+        "name, k, seed, n",
+        [
+            pytest.param(name, k, seed, 14 if f.r == 3 else 36, id=f"{name}-{k}-{seed}")
+            for seed in (5, 7, 11)
+            for name, f in EDGE_RULE_PATTERNS.items()
+            for k in range(2, f.r)
+        ]
+        + [pytest.param("K33", 2, 5, 70, id="K33-2-5-n70")],
     )
-    def test_edges_satisfy_gluing(self, name, k, seed):
+    def test_edges_satisfy_gluing(self, name, k, seed, n):
         f = EDGE_RULE_PATTERNS[name]
-        # r = 4 labelings are sparse: at n = 20 every one of these is empty.
-        n = 14 if f.r == 3 else 36
         h, cert = construct_shadow_labeling(n, f, k, ConstructionParams(seed=seed))
         by_kset = {sm.source: sm for sm in cert.labels}
         for x in itertools.combinations(range(n), f.r):
