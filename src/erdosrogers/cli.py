@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from fractions import Fraction
 
 from . import constructions, exact, exponents, hgio, morphisms
 from .errors import CapacityError, InvalidParameterError
+from .hgio import _json_text
 from .hypergraph import iterated_blowup, shadow
 from .isomorphism import Embedding, contains_copy
 from .morphisms import SetMap, ShadowHomWitness
@@ -135,8 +135,7 @@ def _cmd_construct(args):
         hgio.save_hg(h, args.out)
     if args.cert:
         with open(args.cert, "w") as fobj:
-            json.dump(cert_obj, fobj, indent=2)
-            fobj.write("\n")
+            fobj.write(_json_text(cert_obj) + "\n")
     return {
         "mode": args.mode,
         "hypergraph": hgio.to_json_obj(h),
@@ -343,7 +342,7 @@ def run(argv=None) -> int:
     if "seed" in args:
         report["seed"] = args.seed
     report["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    print(json.dumps(report, indent=2))
+    sys.stdout.write(_json_text(report) + "\n")
     # Decision commands answer in "found" (verify-gfree: "g_free"); 1 is "false".
     return 0 if result.get("found", result.get("g_free", True)) else 1
 

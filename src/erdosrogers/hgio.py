@@ -9,7 +9,9 @@ edges are always serialized in canonical (sorted) order.
 
 from __future__ import annotations
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, TextIO
 
 from .errors import HgFormatError, InvalidParameterError
@@ -17,9 +19,36 @@ from .hypergraph import Hypergraph
 
 
 def format_hg(h: Hypergraph) -> str:
-    lines = [f"{h.r} {h.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
-    return "\n".join(lines) + "\n"
+    # One "%d" line template, repeated per edge and filled in one step.
+    line = " ".join(["%d"] * h.r) + "\n"
+    return f"{h.r} {h.n}\n" + (line * len(h.edges)) % tuple(
+        itertools.chain.from_iterable(h.edges)
+    )
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """The text ``json.dumps`` writes with a 2-space ``indent``, for acyclic
+    ``obj`` whose dict keys are all str (another key raises TypeError), with
+    each list of exact ints joined in C.
+
+    Before Python 3.13, ``indent`` selects the pure-Python encoder, which makes
+    several calls per integer, and certificates are mostly integer lists.
+    """
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {int}:
+            return f"[{inner}{sep.join(map(str, obj))}{pad}]"
+        if not obj:
+            return "[]"
+        return f"[{inner}{sep.join([_json_text(x, inner) for x in obj])}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = obj.items()
+        body = sep.join([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in items])
+        return f"{{{inner}{body}{pad}}}"
+    return json.dumps(obj)
 
 
 def _decimals(fields: list[str], line_no: int, what: str) -> tuple[int, ...]:
@@ -42,15 +71,16 @@ def parse_hg(text: str, first_line: int = 1) -> Hypergraph:
         raise HgFormatError(first_line, f"expected 'r n' header, got {lines[0]!r}")
     r, n = _decimals(header, first_line, "header fields")
     edges = []
-    for offset, raw in enumerate(lines[1:], start=1):
-        line_no = first_line + offset
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+    for line_no, raw in enumerate(lines[1:], start=first_line + 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = stripped.split()
         if len(parts) != r:
             raise HgFormatError(line_no, f"expected {r} vertex ids, got {len(parts)}")
-        edge = _decimals(parts, line_no, "vertex ids")
+        digits = "".join(parts)
+        if not (digits.isascii() and digits.isdigit()):
+            _decimals(parts, line_no, "vertex ids")
+        edge = tuple(map(int, parts))
         if len(set(edge)) != r or max(edge) >= n:
             raise HgFormatError(
                 line_no, f"edge {edge} is not {r} distinct vertices in 0..{n - 1}"
@@ -76,12 +106,12 @@ def from_json_obj(obj: dict) -> Hypergraph:
 
 
 def save_hg(h: Hypergraph, path: str) -> None:
+    if path.endswith(".json"):
+        text = _json_text(to_json_obj(h)) + "\n"
+    else:
+        text = format_hg(h)
     with open(path, "w") as f:
-        if path.endswith(".json"):
-            json.dump(to_json_obj(h), f, indent=2)
-            f.write("\n")
-        else:
-            f.write(format_hg(h))
+        f.write(text)
 
 
 def load_hg(path: str) -> Hypergraph:

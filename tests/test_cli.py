@@ -45,7 +45,10 @@ def files(tmp_path):
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out else None
+    report = json.loads(out) if out else None
+    # The report's bytes are those json.dumps(..., indent=2) writes.
+    assert out == ("" if report is None else json.dumps(report, indent=2) + "\n")
+    return code, report
 
 
 def test_shadow(files, capsys):
