@@ -223,9 +223,10 @@ def estimate_f_cover(
     mode sweeps all C(n, w) subsets (allowed up to 10^6) and is exact.
 
     W contains f iff w >= v(f) and some copy of f's core lies inside W, and
-    such a copy's lowest vertex is in W.  So when the copies can be listed
-    (:func:`_copy_masks`) in at most w steps per subset, they are listed once
-    and each W reads only the copies whose lowest vertex it holds.  Otherwise
+    such a copy's lowest vertex is in W.  So when the copy table of
+    :func:`_copy_masks` can be listed in at most w steps per subset, it is
+    listed once, its distinct vertex masks are grouped by lowest vertex, and
+    each W reads only the groups of the vertices it holds.  Otherwise
     each W is searched on its own, with :func:`contains_copy` on its induced
     subgraph, which already costs more than w steps per subset.
     """
@@ -247,14 +248,14 @@ def estimate_f_cover(
             sample_sorted(substream(seed, "cover-trial", t), h.n, w)
             for t in range(trials)
         )
-    masks = _copy_masks(f, h, limit=trials * w) if w >= f.n else set()
-    if masks is None:
+    copies = _copy_masks(f, h, limit=trials * w) if w >= f.n else {}
+    if copies is None:
         hits = sum(1 for s in subsets if contains_copy(induced(h, s), f) is not None)
-    elif 0 in masks:  # edgeless f: every W of size >= v(f) holds it
+    elif 0 in copies:  # edgeless f: every W of size >= v(f) holds it
         hits = trials
     else:
         by_low: list[list[int]] = [[] for _ in range(h.n)]
-        for m in masks:
+        for m in set(copies.values()):
             by_low[(m & -m).bit_length() - 1].append(m)
         hits = 0
         for s in subsets:

@@ -5,14 +5,16 @@ hitting set of the pattern's copies, by branch and bound), isomorph-free
 enumeration of probe-free hypergraphs by orderly generation, and the exact
 two-pattern extremal value obtained by minimizing over the enumeration.
 
-The enumeration admits only C(n, r) <= ENUMERATION_CAP, so every r-graph on
-n vertices is a bitmask over the r-sets of range(n), and every copy of a
-pattern in the complete r-graph K^r_n is one such mask, listed once by
-:func:`_complete_copies`.  An r-graph on n vertices contains a pattern
-exactly when one of these masks lies inside its own.  The enumeration
-decides G-freeness and f_exact finds each host's F-copies by such mask
-tests, without searching any host.  As every enumeration state is G-free
-and a candidate adds one r-set after all of the state's, a copy of G in the
+All of them read one copy table, :func:`~.isomorphism._copy_masks`, which
+maps each copy of a pattern's core in a host to its vertex mask, keyed by its
+edge mask.  Max-free reads the vertex masks of the copies in its host.  The
+enumeration admits only C(n, r) <= ENUMERATION_CAP, so every r-graph on n
+vertices is an edge mask over the r-sets of range(n), the host K^r_n; an
+r-graph on n vertices contains a pattern exactly when the edge mask of one
+of its copies in K^r_n lies inside its own.  The enumeration decides
+G-freeness and f_exact finds each host's F-copies by such mask tests,
+without searching any host.  As every enumeration state is G-free and a
+candidate adds one r-set after all of the state's, a copy of G in the
 candidate must end with the new r-set, so only those copies are tested.
 """
 
@@ -24,17 +26,18 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
-from .hypergraph import Hypergraph, induced
-from .isomorphism import (
-    CANONICAL_CAP,
-    _copy_masks,
-    _iter_maps,
-    contains_copy,
-    is_canonical,
-)
+from .hypergraph import Hypergraph
+from .isomorphism import CANONICAL_CAP, _copy_masks, is_canonical
 
 BRANCH_AND_BOUND_CAP = 24
-ENUMERATION_CAP = 35  # limit on C(n, r)
+# Limit on C(n, r).  Over the (n, r) it admits, _copy_masks lists a
+# pattern's copies in K^r_n in at most 709,828 steps.  A component has at most
+# 8! = 40,320 maps (a twin-free 2-graph or 6-graph on 8 vertices), the slowest
+# listing at about 0.5 s.  The most pairs tried in a union are 840 * 840, for
+# two disjoint 4-vertex paths in K^2_8, counted over every 2-graph on 8
+# vertices with two to four components; r = 1 takes at most 49,296 steps,
+# r = 3 at most 210 * 35 pairs, and r >= 4 admits no two disjoint edges.
+ENUMERATION_CAP = 35
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,12 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
     W contains f exactly when W contains a copy of f's core (f without its
     isolated vertices) and |W| >= v(f).  So any min(n, v(f)-1) vertices are
     f-free, and a larger W is f-free exactly when it contains none of the core
-    copies, which :func:`_copy_masks` lists once as vertex bitmasks.  Branch and
-    bound then decides the vertices in order, include first: vertex i may join
-    unless it completes a copy.  The bound is the number of vertices still
-    available minus a greedy count of vertex-disjoint copies among them.  The
-    witness is the lexicographically least among the maximum ones.
+    copies: the distinct vertex masks of the copy table of :func:`_copy_masks`.
+    Branch and bound then decides the vertices in order, include first: vertex
+    i may join unless it completes a copy.  The bound is the number of
+    vertices still available minus a greedy count of vertex-disjoint copies
+    among them.  The witness is the lexicographically least among the maximum
+    ones.
     """
     if h.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
@@ -68,7 +72,7 @@ def max_f_free_subset(h: Hypergraph, f: Hypergraph) -> FFreeResult:
         raise CapacityError(
             f"exact search limited to n <= {BRANCH_AND_BOUND_CAP}, got {h.n}"
         )
-    return _max_free(h.n, f.n, _copy_masks(f, h))
+    return _max_free(h.n, f.n, set(_copy_masks(f, h).values()))
 
 
 def _max_free(n: int, k: int, copies: set[int]) -> FFreeResult:
@@ -114,34 +118,6 @@ def _check_enumerable(n: int, r: int) -> None:
         )
 
 
-def _complete_copies(p: Hypergraph, n: int) -> list[tuple[int, int]]:
-    """The copies of p in K^r_n, as distinct (edge mask, core-vertex mask) pairs.
-
-    Bit i of an edge mask is the i-th r-subset of range(n) in lexicographic
-    order; bit v of a core-vertex mask is vertex v.  The core is p without its
-    isolated vertices, and a copy of p is a copy of the core once v(p) <= n,
-    so the pairs come from the twin-broken embeddings of the core into K^r_n,
-    and there are none when v(p) > n.  An r-graph on n vertices with edge
-    mask M contains p exactly when some copy's edge mask lies inside M, and
-    then that copy's core-vertex mask is a core copy in it.  The search lists
-    n!/(n-k)! maps for a k-vertex core, divided by the order of the core's
-    twin group.  Over the (n, r) that the enumeration admits this is at most
-    8! = 40,320, for a twin-free 2-graph (or 6-graph) on 8 vertices.
-    """
-    if p.n > n:
-        return []
-    rsets = list(itertools.combinations(range(n), p.r))
-    # Keyed by its vertex bitmask, an image edge needs no sorting.
-    edge_bit = {sum(1 << v for v in e): 1 << i for i, e in enumerate(rsets)}
-    core = induced(p, {v for e in p.edges for v in e})
-    copies: dict[int, int] = {}
-    for img in _iter_maps(core, Hypergraph(p.r, n, tuple(rsets)), True, break_twins=True):
-        vbit = [1 << v for v in img]
-        edges = sum([edge_bit[sum(map(vbit.__getitem__, e))] for e in core.edges])
-        copies[edges] = sum(vbit)
-    return list(copies.items())
-
-
 def enumerate_g_free(n: int, r: int, g: Hypergraph) -> Iterator[Hypergraph]:
     """One representative per isomorphism class of g-free r-graphs on n vertices.
 
@@ -152,23 +128,25 @@ def enumerate_g_free(n: int, r: int, g: Hypergraph) -> Iterator[Hypergraph]:
     n above CANONICAL_CAP (the canonical check's bound) and C(n, r) above
     ENUMERATION_CAP.
 
-    G-freeness is decided on edge masks against g's copies in K^r_n
-    (:func:`_complete_copies`).  Each state is g-free and each candidate adds
-    an r-set after all of the state's, so a copy inside the candidate must
-    contain the new r-set as its last one: only the copies ending there are
-    tested, and a Hypergraph is built only for the g-free candidates.
+    G-freeness is decided on edge masks against the edge masks of g's copies
+    in K^r_n (:func:`_copy_masks`; none when v(g) > n).  Each state is g-free
+    and each candidate adds an r-set after all of the state's, so a copy
+    inside the candidate must contain the new r-set as its last one: only the
+    copies ending there are tested, and a Hypergraph is built only for the
+    g-free candidates.
     """
     if g.r != r:
         raise InvalidParameterError(f"uniformity mismatch: {r} vs {g.r}")
     _check_enumerable(n, r)
     all_rsets = list(itertools.combinations(range(n), r))
-    empty = Hypergraph(r, n, ())
-    if contains_copy(empty, g) is not None:
+    copies = _copy_masks(g, Hypergraph(r, n, all_rsets)) if g.n <= n else {}
+    if 0 in copies:  # an edgeless g on at most n vertices is in every host
         return
+    empty = Hypergraph(r, n, ())
     yield empty
     # ending[i]: the edge masks of g's copies whose last r-set is all_rsets[i].
     ending: list[list[int]] = [[] for _ in all_rsets]
-    for edges, _ in _complete_copies(g, n):
+    for edges in copies:
         ending[edges.bit_length() - 1].append(edges)
 
     def rec(state: Hypergraph, mask: int, last: int) -> Iterator[Hypergraph]:
@@ -191,9 +169,10 @@ def f_exact(f: Hypergraph, g: Hypergraph, n: int) -> FExactResult:
     The reported extremal hypergraph is the first minimizer in enumeration
     order.  Values at n < v(f) come out as n since nothing can contain f.
 
-    f's copies in K^r_n are listed once (:func:`_complete_copies`); a host's
-    core copies of f are those whose edge mask lies inside the host's, and
-    they go to the branch and bound of :func:`max_f_free_subset` directly.
+    f's copies in K^r_n are listed once (:func:`_copy_masks`; none when
+    v(f) > n); a host's core copies of f are those whose edge mask lies
+    inside the host's, and their vertex masks go to the branch and bound of
+    :func:`max_f_free_subset` directly.
     """
     if f.r != g.r:
         raise InvalidParameterError(f"uniformity mismatch: {f.r} vs {g.r}")
@@ -204,8 +183,9 @@ def f_exact(f: Hypergraph, g: Hypergraph, n: int) -> FExactResult:
             "probe with no edges on <= n vertices leaves nothing to enumerate"
         )
     _check_enumerable(n, f.r)
-    edge_bit = {e: 1 << i for i, e in enumerate(itertools.combinations(range(n), f.r))}
-    copies = _complete_copies(f, n)
+    complete = Hypergraph(f.r, n, itertools.combinations(range(n), f.r))
+    edge_bit = {e: 1 << i for i, e in enumerate(complete.edges)}
+    copies = _copy_masks(f, complete).items() if f.n <= n else ()
     best: Optional[int] = None
     best_h: Optional[Hypergraph] = None
     for h in enumerate_g_free(n, f.r, g):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, shadow
-from .isomorphism import _min_edge_list
+from .isomorphism import canonical_form
 
 VERTEX_ENUM_CAP = 16
 
@@ -49,8 +49,7 @@ class DensityReport:
 def _witness_canon(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
     relabel = {v: i for i, v in enumerate(vertices)}
     h = Hypergraph(2, len(vertices), tuple(tuple(relabel[v] for v in e) for e in edges))
-    # Not canonical_form: a witness may exceed its cap, but not VERTEX_ENUM_CAP.
-    return _min_edge_list(h)
+    return canonical_form(h)
 
 
 def _densest(f: Hypergraph, offset: int) -> DensityReport:

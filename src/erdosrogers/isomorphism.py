@@ -282,16 +282,19 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> EmbeddingCount:
 
 def _copy_masks(
     f: Hypergraph, h: Hypergraph, limit: float = math.inf
-) -> Optional[set[int]]:
-    """The vertex sets of the copies of f's core in h, as bitmasks.
+) -> Optional[dict[int, int]]:
+    """The copies of f's core in h, each as its edge mask mapped to its vertex mask.
 
-    The core is f without its isolated vertices, so a vertex set W of h holds
-    a copy of f exactly when |W| >= v(f) and some mask lies inside W.  A core
-    copy is a union of vertex-disjoint copies of the core's components, each
-    listed by the twin-broken search; an edgeless f gives the one mask 0.
-    None when the listing would take more than `limit` steps, counting, if
-    f has an edge, one per host edge (h's indices, built once), then one per
-    map of each component and one per pair tried in a union.
+    Bit i of an edge mask is ``h.edges[i]``; bit v of a vertex mask is vertex
+    v.  The core is f without its isolated vertices, so a vertex set W of h
+    holds a copy of f exactly when |W| >= v(f) and some vertex mask lies
+    inside W, and a hypergraph on h's vertices with some of h's edges holds
+    one exactly when h.n >= v(f) and some edge mask lies inside its own.  A
+    core copy is a union of vertex-disjoint copies of the core's components,
+    each listed by the twin-broken search; an edgeless f gives the one copy
+    0 -> 0.  None when the listing would take more than `limit` steps,
+    counting, if f has an edge, one per host edge (h's indices, built once),
+    then one per map of each component and one per pair tried in a union.
     """
     if f.r != h.r:
         raise InvalidParameterError(f"uniformity mismatch: {f.r} vs {h.r}")
@@ -299,22 +302,36 @@ def _copy_masks(
     for e in f.edges:
         joined = set(e).union(*(p for p in parts if not p.isdisjoint(e)))
         parts = [p for p in parts if p.isdisjoint(e)] + [joined]
-    bit = [1 << v for v in range(h.n)]
-    copies = {0}
+    copies = {0: 0}
     steps = len(h.edges) if parts else 0
     if steps > limit:
         return None
+    bit = [1 << v for v in range(h.n)]
+    # Keyed by its vertex bitmask, an image edge needs no sorting.
+    edge_bit = {sum(map(bit.__getitem__, e)): 1 << i for i, e in enumerate(h.edges)}
     for p in parts:
-        masks = set()
-        for img in _iter_maps(induced(f, p), h, injective=True, break_twins=True):
+        core = induced(f, p)
+        maps = []
+        for img in _iter_maps(core, h, injective=True, break_twins=True):
             steps += 1
             if steps > limit:
                 return None
-            masks.add(sum(map(bit.__getitem__, img)))
+            maps.append(img)
+        # Column v: the bit of vertex v's image, one entry per map.  Adding
+        # columns gives each map's image edges, then its edge and vertex masks.
+        cols = [[bit[img[v]] for img in maps] for v in range(core.n)]
+        images = [map(sum, zip(*[cols[v] for v in e])) for e in core.edges]
+        edge_masks = map(sum, zip(*[map(edge_bit.__getitem__, c) for c in images]))
+        masks = dict(zip(edge_masks, map(sum, zip(*cols))))
         steps += len(copies) * len(masks)
         if steps > limit:
             return None
-        copies = {c | m for c in copies for m in masks if not c & m}
+        copies = {
+            ce | me: cv | mv
+            for ce, cv in copies.items()
+            for me, mv in masks.items()
+            if not cv & mv
+        }
     return copies
 
 

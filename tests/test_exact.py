@@ -153,6 +153,13 @@ class TestEnumeration:
             graphs = list(enumerate_g_free(4, 3, g))
             assert [len(h.edges) for h in graphs] == [0, 1, 2, 3, 4]
 
+    def test_edgeless_probe(self):
+        # An edgeless probe is in every host on at least as many vertices, and
+        # in none on fewer: then every class of 3-graphs on 4 vertices is free.
+        assert list(enumerate_g_free(4, 3, Hypergraph(3, 4, ()))) == []
+        graphs = list(enumerate_g_free(4, 3, Hypergraph(3, 5, ())))
+        assert [len(h.edges) for h in graphs] == [0, 1, 2, 3, 4]
+
     def test_against_oracles(self):
         # Seeded random probes plus a disconnected one and ones with isolated
         # vertices; G-freeness by oracle_maps, classes by oracle_canonical.
@@ -225,6 +232,10 @@ class TestFExact:
             f_exact(Hypergraph(3, 3, ()), k34, 4)
         with pytest.raises(InvalidParameterError):
             f_exact(k34, Hypergraph(3, 3, ()), 4)
+
+    def test_edgeless_probe_on_more_vertices(self, k33):
+        # Every 3-graph on 4 vertices is a host; K^3_4 leaves only two vertices.
+        assert f_exact(k33, Hypergraph(3, 5, ()), 4).value == 2
 
     def test_at_least_one(self, k33, k34):
         assert f_exact(k33, k34, 1).value >= 1

@@ -302,27 +302,38 @@ def oracle_copy_count(pattern: Hypergraph, host: Hypergraph) -> int:
 
 class TestCopyMasks:
     def test_against_permutations(self):
-        # The vertex sets of all maps of f's non-isolated vertices into h.
+        # The edge sets of all maps of f's non-isolated vertices into h, each
+        # with its vertex set, as masks over h.edges and range(h.n).
         rng = random.Random(107)
         for i in range(60):
             r = (2, 3)[i % 2]
             f = twin_heavy_pattern(rng, r)
             h = random_hypergraph(rng, r, 7, p=0.5)
             core = sorted({v for e in f.edges for v in e})
-            want = set()
+            index = {e: i for i, e in enumerate(h.edges)}
+            want = {}
             for perm in itertools.permutations(range(h.n), len(core)):
                 img = dict(zip(core, perm))
-                if all(tuple(sorted(img[v] for v in e)) in h.edge_set for e in f.edges):
-                    want.add(sum(1 << v for v in perm))
+                mapped = [tuple(sorted(img[v] for v in e)) for e in f.edges]
+                if all(e in h.edge_set for e in mapped):
+                    edges = sum(1 << index[e] for e in mapped)
+                    want[edges] = sum(1 << v for v in perm)
             assert _copy_masks(f, h) == want
 
     def test_limit(self):
         # Two disjoint edges in K^3_6: 20 host edges once for the index, then
         # per component 20 maps, and 1 * 20 and 20 * 20 pairs tried in the
-        # unions: 20 + 20 + 20 + 20 + 400.
+        # unions: 20 + 20 + 20 + 20 + 400.  The 10 copies are the splits of
+        # range(6) into two triples, whose edge indices add up to 19.
         f, h = Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))), build_complete(3, 6)
-        assert _copy_masks(f, h, limit=480) == {0b111111}
+        copies = _copy_masks(f, h, limit=480)
+        assert copies == {1 << i | 1 << (19 - i): 0b111111 for i in range(10)}
         assert _copy_masks(f, h, limit=479) is None
+        # A path on three vertices in K^2_4: 6 host edges, 12 maps, and 1 * 12
+        # pairs, one per copy, though the copies span only 4 vertex sets.
+        p3, k4 = Hypergraph(2, 3, ((0, 1), (1, 2))), build_complete(2, 4)
+        assert len(_copy_masks(p3, k4, limit=30)) == 12
+        assert _copy_masks(p3, k4, limit=29) is None
         assert _copy_masks(build_complete(3, 3), h, limit=39) is None
 
 
@@ -484,9 +495,9 @@ def _check_least_form(h, form_of, is_least):
 
 
 class TestCanonicalAtScale:
-    """At the public cap, and past it up to VERTEX_ENUM_CAP vertices, which
-    exponent witnesses reach through _min_edge_list: edge codes in base n
-    must still sort as the edge tuples do."""
+    """At the public cap, and past it up to VERTEX_ENUM_CAP vertices through
+    the private _min_edge_list: edge codes in base n must still sort as the
+    edge tuples do."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_3graphs_at_cap(self, seed):
