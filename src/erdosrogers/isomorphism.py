@@ -90,6 +90,79 @@ def _orbits(h: Hypergraph) -> list[int]:
     return low
 
 
+def _plan(
+    pattern: Hypergraph,
+) -> tuple[list[int], list[list[tuple[int, ...]]], list[list[int]]]:
+    """The placement order of :func:`_iter_maps` and the tests at each depth.
+
+    order[d] is the vertex placed at depth d.  checks[d] holds, for each
+    edge whose last vertex is order[d], in edge order, its other vertices.
+    nbrs[d] holds the vertices placed before depth d that share an edge with
+    order[d] but no edge in checks[d].
+    """
+    n, edges = pattern.n, pattern.edges
+    pdeg = pattern.degrees
+    edges_at: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for u in e:
+            edges_at[u].append(i)
+    # Key digits, lowest first: n-1-v (radix n), degree (radix e+1), link
+    # (radix n), completes.  With r = 1 every edge is complete from the
+    # start, so completes equals the degree and ranks vertices as it does:
+    # for every r the keys can start at (0, 0, degree, -v).
+    link_w = n * (len(edges) + 1)
+    complete_w = link_w * n
+    key = [d * n + n - 1 - v for v, d in enumerate(pdeg)]
+    heap = [-k for k in key]
+    heapq.heapify(heap)
+    # Per edge: the number and the sum of its unplaced vertices.
+    missing = [pattern.r] * len(edges)
+    rest = list(map(sum, edges))
+    placed = [False] * n
+    seen = [-1] * n  # seen[u] == d: u was met at depth d
+    order: list[int] = []
+    checks: list[list[tuple[int, ...]]] = []
+    nbrs: list[list[int]] = []
+    while heap:
+        k = -heapq.heappop(heap)
+        v = n - 1 - k % n
+        if key[v] != k:
+            continue
+        d = len(order)
+        order.append(v)
+        seen[v] = d
+        done: list[tuple[int, ...]] = []
+        still: list[int] = []  # the edges through v with unplaced vertices
+        for i in edges_at[v]:
+            missing[i] -= 1
+            if missing[i]:
+                rest[i] -= v
+                if missing[i] == 1:
+                    key[rest[i]] += complete_w
+                still.append(i)
+            else:
+                e = edges[i]
+                j = e.index(v)
+                others = e[:j] + e[j + 1 :]
+                done.append(others)
+                for u in others:
+                    seen[u] = d
+        near: list[int] = []
+        for i in still:
+            for u in edges[i]:
+                if seen[u] != d:
+                    seen[u] = d
+                    if placed[u]:
+                        near.append(u)
+                    else:
+                        key[u] += link_w
+                        heapq.heappush(heap, -key[u])
+        placed[v] = True
+        checks.append(done)
+        nbrs.append(near)
+    return order, checks, nbrs
+
+
 def _iter_maps(
     pattern: Hypergraph, host: Hypergraph, injective: bool, break_twins: bool = False
 ) -> Iterator[tuple[int, ...]]:
@@ -99,11 +172,25 @@ def _iter_maps(
     lands on r distinct vertices that form a host edge.  With injective=True
     the maps are the embeddings, otherwise the homomorphisms.
 
-    Pattern vertices are placed constraint-first: next comes the vertex that
-    completes the most pattern edges against those already placed, then the
-    one sharing edges with the most placed vertices, then high degree, then
-    small id.  The search keeps an explicit stack, so pattern size is not
-    bounded by the recursion limit.
+    Order.  Pattern vertices are placed constraint-first: next comes the
+    vertex that completes the most pattern edges against those already
+    placed, then the one sharing edges with the most placed vertices, then
+    high degree, then small id.  :func:`_plan` finds the order, and each
+    depth's tests below, in one pass over the pattern's edges, addressed by
+    index.  A vertex's key (completes, link, degree, -v) is one int in mixed
+    radix, and a heap of negated keys pops the largest; keys only grow, so an
+    entry other than its vertex's key is stale and skipped.  Each edge keeps
+    the count and the sum of its unplaced vertices, so the vertex an edge
+    now needs is read off in O(1).  A depth's tests are read off when its
+    vertex is placed, as the vertices placed before it are then exactly the
+    placed ones.  No per-vertex adjacency sets are built: the pattern's
+    ``nbhd`` masks cost O(v^2) on a v-vertex pattern (reading them made the
+    search on a 1,100-edge tight path five times slower), and sets grown a
+    vertex at a time over-allocate (a 5-entry set has a 32-slot table).
+    Instead the distinct neighbours of the vertex being placed are found
+    along its edges, each stamped with the depth once seen.  The search
+    keeps an explicit stack, so pattern size is not bounded by the
+    recursion limit.
 
     Candidates.  Sets of host vertices are int bitmasks (bit c is vertex c).
     The candidates of the vertex p placed at a depth are the host vertices
@@ -142,52 +229,11 @@ def _iter_maps(
     """
     if pattern.r != host.r:
         raise InvalidParameterError(f"uniformity mismatch: {pattern.r} vs {host.r}")
-    n, r = pattern.n, pattern.r
+    n = pattern.n
     if injective and (n > host.n or len(pattern.edges) > len(host.edges)):
         return
-    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for e in pattern.edges:
-        for u in e:
-            edges_at[u].append(e)
-            adj[u].update(w for w in e if w != u)
+    order, checks, nbrs = _plan(pattern)
     pdeg = pattern.degrees
-    # The order keys only grow as vertices are placed, so a heap of
-    # (-completes, -link, -degree, v) entries, skipping stale ones, pops the
-    # maximum key each time.  With r = 1 every edge starts out complete.
-    completes = list(pdeg) if r == 1 else [0] * n
-    link = [0] * n
-    missing = {e: r for e in pattern.edges}
-    placed = [False] * n
-    heap = [(-completes[v], 0, -pdeg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        c, l, _, v = heapq.heappop(heap)
-        if placed[v] or (-c, -l) != (completes[v], link[v]):
-            continue
-        placed[v] = True
-        order.append(v)
-        for e in edges_at[v]:
-            missing[e] -= 1
-            if missing[e] == 1:
-                completes[next(u for u in e if not placed[u])] += 1
-        for u in adj[v]:
-            if not placed[u]:
-                link[u] += 1
-                heapq.heappush(heap, (-completes[u], -link[u], -pdeg[u], u))
-    # An edge is checked at the depth where its last vertex is placed.
-    pos = {v: i for i, v in enumerate(order)}
-    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in pattern.edges:
-        last = max(e, key=pos.__getitem__)
-        checks[pos[last]].append(tuple(u for u in e if u != last))
-    # nbrs[d]: the vertices placed before depth d that share an edge with
-    # order[d] but no edge completing at d.
-    nbrs: list[list[int]] = []
-    for d, v in enumerate(order):
-        done = {u for others in checks[d] for u in others}
-        nbrs.append([u for u in adj[v] if pos[u] < d and u not in done])
     # twin[d]: the vertex placed last before depth d in order[d]'s twin class.
     twin = [-1] * n
     if injective and break_twins:

@@ -7,12 +7,13 @@ least image over all permutations, shadow-homomorphism existence sweeps
 per-edge assignment products, shadow-homomorphism certificates are checked
 against the definition written out, density exponents sweep every edge subset
 of a pair shadow built here, maximum pattern-free subsets sweep vertex
-subsets as bitmasks, and blowup membership replays every step sequence.
-Library results are checked against these on instances small enough to
-enumerate.  The seeded streams of the constructions are re-derived from
-README's contract with hashlib and the standard library's random.Random.
-From the library this file imports only Hypergraph, build_complete and
-build_h.
+subsets as bitmasks, blowup membership replays every step sequence, and
+the embedding kernel's placement order is recomputed from its documented
+key at every step.  Library results are checked against these on instances
+small enough to enumerate.  The seeded streams of the constructions are
+re-derived from README's contract with hashlib and the standard library's
+random.Random.  From the library this file imports only Hypergraph,
+build_complete and build_h.
 """
 
 import hashlib
@@ -253,6 +254,42 @@ def oracle_maps(pattern: Hypergraph, host: Hypergraph):
         images[v] = -1
 
     return extend(0)
+
+
+def oracle_placement(pattern: Hypergraph):
+    """The embedding kernel's documented plan, recomputed at every step.
+
+    Next comes the unplaced vertex of largest key (completes, link, degree,
+    -v): the number of edges through it whose other vertices are all placed,
+    of placed vertices sharing an edge with it, its degree and its negated
+    id.  Returns (order, checks, nbrs): checks[d] holds, in edge order, the
+    other vertices of each edge that order[d] completes; nbrs[d] is the set
+    of the vertices placed before order[d] that share an edge with it but no
+    edge it completes.
+    """
+    others = [
+        [tuple(u for u in e if u != v) for e in pattern.edges if v in e]
+        for v in range(pattern.n)
+    ]
+    near = [{u for o in others[v] for u in o} for v in range(pattern.n)]
+    placed: set[int] = set()
+    order, checks, nbrs = [], [], []
+    while len(order) < pattern.n:
+        v = max(
+            (v for v in range(pattern.n) if v not in placed),
+            key=lambda v: (
+                sum(placed.issuperset(o) for o in others[v]),
+                len(near[v] & placed),
+                len(others[v]),
+                -v,
+            ),
+        )
+        done = [o for o in others[v] if placed.issuperset(o)]
+        order.append(v)
+        checks.append(done)
+        nbrs.append(near[v] & placed - {u for o in done for u in o})
+        placed.add(v)
+    return order, checks, nbrs
 
 
 def oracle_max_f_free(h: Hypergraph, f: Hypergraph) -> int:

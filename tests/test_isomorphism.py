@@ -1,6 +1,7 @@
 """Embedding search, counts, and canonical form against permutation oracles."""
 
 import collections
+import hashlib
 import itertools
 import random
 
@@ -42,6 +43,7 @@ from erdosrogers.isomorphism import (
     _iter_maps,
     _min_edge_list,
     _orbits,
+    _plan,
     _twin_classes,
     is_canonical,
 )
@@ -51,6 +53,7 @@ from conftest import (
     oracle_has_hom,
     oracle_maps,
     oracle_orbits,
+    oracle_placement,
     random_hypergraph,
     relabeled,
     tight_cycle,
@@ -117,9 +120,11 @@ def scattered(h: Hypergraph, rng: random.Random, n: int) -> Hypergraph:
 class TestKernelSweep:
     def test_against_oracles(self):
         # Embedding sets against oracle_maps and homomorphism existence
-        # against oracle_has_hom, for r = 2, 3, 4.  Every other case scatters
-        # its host over 65..130 vertex ids, so masks are wider than a machine
-        # word; isolated host vertices change no homomorphism's existence.
+        # against oracle_has_hom, for r = 2, 3, 4, then r = 1, where every
+        # pattern edge is complete before any vertex is placed.  Every other
+        # case scatters its host over 65..130 vertex ids, so masks are wider
+        # than a machine word; isolated host vertices change no
+        # homomorphism's existence.
         # Every link lookup must be of r - 1 distinct images: the placed
         # vertices of an edge get distinct images, by the neighbourhood rule
         # or by the link entry of an edge completed with both.
@@ -135,8 +140,8 @@ class TestKernelSweep:
             return host
 
         rng = random.Random(151)
-        for i in range(240):
-            r = (2, 3, 4)[i % 3]
+        for i in range(320):
+            r = (2, 3, 4)[i % 3] if i < 240 else 1
             wide = i % 2 == 1
             host = random_hypergraph(rng, r, rng.randint(r, 7), p=rng.choice((0.3, 0.5, 0.8)))
             if wide:
@@ -202,6 +207,64 @@ PATH_IN_C7 = [
 ]
 
 
+def plan_pattern(rng: random.Random, r: int, n: int) -> Hypergraph:
+    """A random r-graph on n vertices: each vertex joins one of one or two
+    blocks or, one time in eight, stays isolated, and edges are drawn inside
+    blocks, so many patterns have several components or isolated vertices."""
+    parts = rng.randint(1, 2)
+    block = [0 if rng.random() < 1 / 8 else rng.randint(1, parts) for _ in range(n)]
+    p = rng.choice((0.3, 0.6, 0.9))
+    edges = [
+        e
+        for e in itertools.combinations(range(n), r)
+        if block[e[0]] and len({block[v] for v in e}) == 1 and rng.random() < p
+    ]
+    return Hypergraph(r, n, tuple(edges))
+
+
+def long_path(m: int) -> Hypergraph:
+    """The tight 3-uniform path with m edges, its vertices shuffled by a
+    random.Random seeded with m."""
+    perm = list(range(m + 2))
+    random.Random(m).shuffle(perm)
+    return Hypergraph(3, m + 2, tuple(tuple(perm[i + j] for j in range(3)) for i in range(m)))
+
+
+class TestPlan:
+    def test_against_oracle(self):
+        # The order, the edges checked at each depth and the neighbours
+        # tested there, against the key recomputed at every step, on r = 1..4
+        # patterns of 0..9 vertices and on two long tight paths.  Each edge
+        # is checked once, at its last vertex.
+        rng = random.Random(20)
+        patterns = [plan_pattern(rng, 1 + i % 4, rng.randint(0, 9)) for i in range(600)]
+        for pattern in patterns + [long_path(100), long_path(1100)]:
+            order, checks, nbrs = _plan(pattern)
+            want_order, want_checks, want_nbrs = oracle_placement(pattern)
+            assert order == want_order
+            assert checks == want_checks
+            assert [set(u) for u in nbrs] == want_nbrs
+            assert all(len(set(u)) == len(u) for u in nbrs)
+            checked = [
+                tuple(sorted(others + (v,)))
+                for v, done in zip(order, checks)
+                for others in done
+            ]
+            assert sorted(checked) == list(pattern.edges)
+
+
+# SHA-256 digests of the witnesses on two long relabelled tight paths,
+# recorded before the placement plan was computed in one pass: the first
+# homomorphism of a 1,100-edge path into K^3_3, and the 2-shadow-homomorphism
+# certificate of a 100-edge path.
+HOM_PATH_1100 = "d0e933e897fc72b67767a1971a3475a9e20fecab8c26d090cdcf854565c0a8a4"
+SHADOW_PATH_100 = "14a5f05414954cbce684e691df719cd35fe61352d7dd9cad4478a082b35ade3c"
+
+
+def sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 class TestYieldOrder:
     def test_c5_minus_in_a_coloring(self, tc5_gap):
         host, _ = construct_coloring(12, build_complete(3, 4), ConstructionParams(seed=3))
@@ -216,6 +279,18 @@ class TestYieldOrder:
         path = Hypergraph(2, 4, ((0, 1), (1, 2), (2, 3)))
         got = [e.images for e in iter_embeddings(path, tight_cycle(2, 7))]
         assert got == PATH_IN_C7
+
+    def test_hom_of_1100_edge_path(self, k33):
+        w = find_homomorphism(long_path(1100), k33)
+        assert sha256(w.images) == HOM_PATH_1100
+
+    def test_shadow_hom_of_100_edge_path(self, k33):
+        w = find_shadow_homomorphism(long_path(100), k33, 2)
+        maps = (
+            [(m.source, m.images) for m in w.shadow_map],
+            [(m.source, m.images) for m in w.edge_map],
+        )
+        assert sha256(maps) == SHADOW_PATH_100
 
 
 def twin_heavy_pattern(rng: random.Random, r: int) -> Hypergraph:
