@@ -3,7 +3,7 @@
 Exact maximum pattern-free induced subsets (the complement of a minimum
 hitting set of the pattern's copies, by branch and bound), isomorph-free
 enumeration of probe-free hypergraphs by orderly generation, and the exact
-two-pattern extremal value obtained by minimizing over the enumeration.
+two-pattern extremal value by branch and bound over the enumeration.
 
 All of them read one copy table, :func:`~.isomorphism._copy_masks`, which
 maps each copy of a pattern's core in a host to its vertex mask, keyed by its
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph
@@ -127,40 +127,63 @@ def enumerate_g_free(n: int, r: int, g: Hypergraph) -> Iterator[Hypergraph]:
     state already contains g are cut.  Deterministic yield order.  Refuses
     n above CANONICAL_CAP (the canonical check's bound) and C(n, r) above
     ENUMERATION_CAP.
-
-    G-freeness is decided on edge masks against the edge masks of g's copies
-    in K^r_n (:func:`_copy_masks`; none when v(g) > n).  Each state is g-free
-    and each candidate adds an r-set after all of the state's, so a copy
-    inside the candidate must contain the new r-set as its last one: only the
-    copies ending there are tested, and a Hypergraph is built only for the
-    g-free candidates.
     """
     if g.r != r:
         raise InvalidParameterError(f"uniformity mismatch: {r} vs {g.r}")
     _check_enumerable(n, r)
-    all_rsets = list(itertools.combinations(range(n), r))
-    copies = _copy_masks(g, Hypergraph(r, n, all_rsets)) if g.n <= n else {}
+    for h, _ in _orderly(n, r, g):
+        yield h
+
+
+def _orderly(
+    n: int, r: int, g: Hypergraph, cut: Optional[Callable[[int], bool]] = None
+) -> Iterator[tuple[Hypergraph, int]]:
+    """The walk of :func:`enumerate_g_free`, yielding each class with its edge
+    mask over the r-sets of range(n) (bit i is the i-th in lexicographic order).
+
+    G-freeness is decided on edge masks against those of g's copies in K^r_n
+    (:func:`_copy_masks`; none when v(g) > n).  Each state is g-free and each
+    candidate adds an r-set after all of the state's, so a copy inside the
+    candidate must contain the new r-set as its last one: only the copies
+    ending there are tested, and a Hypergraph is built only for the g-free
+    candidates.
+
+    cut(upper) is asked for each g-free candidate, upper being its mask plus
+    every later r-set, which holds every host of its subtree.  True skips the
+    candidate and its later siblings, whose upper masks lie within; so cut
+    must stay true on subsets.
+    """
+    complete = _complete(n, r)
+    copies = _copy_masks(g, complete) if g.n <= n else {}
     if 0 in copies:  # an edgeless g on at most n vertices is in every host
         return
     empty = Hypergraph(r, n, ())
-    yield empty
+    yield empty, 0
+    all_rsets, full = complete.edges, (1 << len(complete.edges)) - 1
     # ending[i]: the edge masks of g's copies whose last r-set is all_rsets[i].
     ending: list[list[int]] = [[] for _ in all_rsets]
     for edges in copies:
         ending[edges.bit_length() - 1].append(edges)
 
-    def rec(state: Hypergraph, mask: int, last: int) -> Iterator[Hypergraph]:
+    def rec(state: Hypergraph, mask: int, last: int) -> Iterator[tuple[Hypergraph, int]]:
         for idx in range(last + 1, len(all_rsets)):
             grown = mask | 1 << idx
             if any(c & grown == c for c in ending[idx]):
                 continue
+            if cut is not None and cut(grown | full >> idx + 1 << idx + 1):
+                break
             cand = Hypergraph(r, n, state.edges + (all_rsets[idx],))
             if not is_canonical(cand):
                 continue
-            yield cand
+            yield cand, grown
             yield from rec(cand, grown, idx)
 
     yield from rec(empty, 0, -1)
+
+
+def _complete(n: int, r: int) -> Hypergraph:
+    """K^r_n, for any n >= 0 (no edges when n < r)."""
+    return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
 
 
 def f_exact(f: Hypergraph, g: Hypergraph, n: int) -> FExactResult:
@@ -173,6 +196,13 @@ def f_exact(f: Hypergraph, g: Hypergraph, n: int) -> FExactResult:
     v(f) > n); a host's core copies of f are those whose edge mask lies
     inside the host's, and their vertex masks go to the branch and bound of
     :func:`max_f_free_subset` directly.
+
+    Branch and bound: the walk is cut where upper (see :func:`_orderly`) has
+    a free set of the best size so far.  Adding edges never enlarges a
+    max-free set, so every host below lies inside upper and has a value at
+    least the best: the value is unchanged, and so is the first minimizer, as
+    a skipped class can only tie a value an earlier class holds.  The walk
+    stops at the floor min(n, v(f) - 1).
     """
     if f.r != g.r:
         raise InvalidParameterError(f"uniformity mismatch: {f.r} vs {g.r}")
@@ -183,15 +213,18 @@ def f_exact(f: Hypergraph, g: Hypergraph, n: int) -> FExactResult:
             "probe with no edges on <= n vertices leaves nothing to enumerate"
         )
     _check_enumerable(n, f.r)
-    complete = Hypergraph(f.r, n, itertools.combinations(range(n), f.r))
-    edge_bit = {e: 1 << i for i, e in enumerate(complete.edges)}
-    copies = _copy_masks(f, complete).items() if f.n <= n else ()
-    best: Optional[int] = None
+    copies = _copy_masks(f, _complete(n, f.r)).items() if f.n <= n else ()
+
+    def value(mask: int) -> int:
+        return _max_free(n, f.n, {c for e, c in copies if e & mask == e}).size
+
+    floor, best = min(n, f.n - 1), n + 1
     best_h: Optional[Hypergraph] = None
-    for h in enumerate_g_free(n, f.r, g):
-        mask = sum(map(edge_bit.__getitem__, h.edges))
-        size = _max_free(n, f.n, {c for e, c in copies if e & mask == e}).size
-        if best is None or size < best:
+    for h, mask in _orderly(n, f.r, g, lambda upper: value(upper) >= best):
+        size = value(mask)
+        if size < best:
             best, best_h = size, h
-    assert best is not None and best_h is not None  # empty host is always g-free here
+            if best == floor:
+                break
+    assert best_h is not None  # empty host is always g-free here
     return FExactResult(value=best, extremal=best_h)

@@ -25,8 +25,9 @@ class Hypergraph:
     """An r-uniform hypergraph on vertices ``0 .. n-1``.
 
     Edges are normalized on construction: each edge is sorted, duplicates are
-    dropped, and the edge list is stored in sorted order.  A hypergraph with
-    zero edges is legal, as is ``n = 0``.
+    dropped, and the edge list is stored in sorted order.  ``edges`` may be
+    any iterable of vertex sequences, read once.  A hypergraph with zero
+    edges is legal, as is ``n = 0``.
     """
 
     r: int

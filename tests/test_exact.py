@@ -18,6 +18,8 @@ from erdosrogers import (
     induced,
     max_f_free_subset,
 )
+from erdosrogers import exact
+from erdosrogers.isomorphism import is_canonical
 from conftest import oracle_canonical, oracle_maps, oracle_max_f_free, random_hypergraph
 
 
@@ -246,9 +248,11 @@ class TestFExact:
 
     def test_against_oracles(self):
         # The value is the least oracle max-free size over the classes, and
-        # the extremal is the first class attaining it and is G-free.
+        # the extremal is the first class attaining it and is G-free.  The
+        # random cases take r = 1-4, so some have v(F) > n and some stop at
+        # the floor min(n, v(F) - 1).
         rng = random.Random(1402)
-        pairs = [
+        cases = [
             (Hypergraph(3, 4, ((0, 1, 2),)), build_complete(3, 4), 5),  # isolated vertex
             (  # disconnected F
                 Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
@@ -256,14 +260,46 @@ class TestFExact:
                 6,
             ),
             (Hypergraph(2, 4, ((0, 1), (2, 3))), Hypergraph(2, 3, ((0, 1), (0, 2), (1, 2))), 6),
+            (Hypergraph(2, 5, ((0, 1), (2, 3))), Hypergraph(2, 3, ((0, 1), (1, 2))), 6),
+            (Hypergraph(1, 3, ((0,), (1,))), Hypergraph(1, 3, ((0,), (1,), (2,))), 7),
+            (Hypergraph(4, 7, ((0, 1, 2, 3),)), build_complete(4, 5), 6),  # v(F) > n
+            (build_complete(3, 4), Hypergraph(3, 5, ((0, 1, 2), (2, 3, 4))), 5),
+            (build_complete(2, 3), build_complete(2, 6), 5),  # v(G) > n
         ]
-        for r, n in [(1, 6), (2, 5), (2, 6), (3, 5), (3, 5), (4, 6)]:
+        shapes = [(1, 6), (2, 5), (2, 6), (3, 5), (3, 5), (4, 6)]
+        max_n, shape_rng = {1: 8, 2: 6, 3: 5, 4: 6}, random.Random(1403)
+        shapes += [(r, shape_rng.randint(r + 1, max_n[r])) for r in [1, 2, 3, 4] * 13]
+        for r, n in shapes:
             f = random_hypergraph(rng, r, rng.randint(r, r + 2), p=0.6, ensure_edge=True)
             g = random_hypergraph(rng, r, rng.randint(r + 1, n), p=0.5, ensure_edge=True)
-            pairs.append((f, g, n))
-        for f, g, n in pairs:
+            cases.append((f, g, n))
+        floor_hits = 0
+        for f, g, n in cases:
             res = f_exact(f, g, n)
             sizes = [(oracle_max_f_free(h, f), h) for h in enumerate_g_free(n, f.r, g)]
             assert res.value == min(size for size, _ in sizes)
             assert res.extremal == next(h for size, h in sizes if size == res.value)
             assert oracle_free(res.extremal, g)
+            floor_hits += res.value == min(n, f.n - 1)
+        assert 0 < floor_hits < len(cases)
+
+    def test_cut_skips_canonicity_tests(self, monkeypatch, k33, k34):
+        # The full walk at n = 6 makes 1,805 canonicity tests.
+        calls = []
+        monkeypatch.setattr(exact, "is_canonical", lambda h: calls.append(h) or is_canonical(h))
+        assert f_exact(k33, k34, 6).value == 3
+        assert len(calls) <= 40
+
+    def test_constructor_probe_reading_edges_first(self, monkeypatch, k33, k34):
+        # A probe wrapping Hypergraph.__post_init__ that reads len(edges)
+        # before the real one runs, as a tracer may, sees only sized edges.
+        classes = list(enumerate_g_free(5, 3, k34))
+        post_init = Hypergraph.__post_init__
+
+        def probe(h):
+            len(h.edges)
+            post_init(h)
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", probe)
+        assert f_exact(k33, k34, 5).value == 3
+        assert list(enumerate_g_free(5, 3, k34)) == classes
