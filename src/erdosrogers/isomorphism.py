@@ -6,6 +6,7 @@ both share: equal uniformity, a fixed search order, candidate sets as
 bitmasks over the host's :attr:`~.Hypergraph.links` and :attr:`~.Hypergraph.nbhd`,
 and the twin rule that the copy searches (:func:`contains_copy`,
 :func:`count_embeddings`, :func:`_copy_masks`) use without changing the first witness.
+The canonical search reads the same twin classes (:func:`_twin_classes`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, InvalidParameterError
 from .hypergraph import Hypergraph, induced
@@ -53,24 +55,41 @@ def is_embedding(pattern: Hypergraph, host: Hypergraph, emb: Embedding) -> bool:
 def _twin_classes(h: Hypergraph) -> list[int]:
     """For each vertex, the least vertex of its twin class.
 
-    u and v are twins when the transposition (u v) is an automorphism: the
-    edges through u but not v, with u replaced by v, are exactly the edges
-    through v but not u.  The relation is an equivalence ((u w) is (u v) (v w)
-    (u v)).  Twins that share no edge have equal links, so they are grouped by
-    link; twins that share an edge are tested pair by pair along the edges.
+    u and v are twins when the transposition (u v) is an automorphism: with
+    s(v) the set of v's edges as vertex bitmasks, v's bit removed, swapping
+    bits u and v in every member of s(u) gives s(v).  The relation is an
+    equivalence ((u w) is (u v) (v w) (u v)).  Twins have equal
+    neighbourhoods, open if they share no edge and closed if they share one,
+    and an open neighbourhood never equals a closed one.  So each vertex, in
+    increasing order, is tested only against the least vertices of the
+    classes found so far that share its open or its closed neighbourhood.
     """
-    link: list[set[tuple[int, ...]]] = [set() for _ in range(h.n)]
+    bit = [1 << v for v in range(h.n)]
+    sets: list[list[int]] = [[] for _ in bit]
     for e in h.edges:
-        for i, u in enumerate(e):
-            link[u].add(e[:i] + e[i + 1 :])
-    first: dict[frozenset, int] = {}
-    cls = [first.setdefault(frozenset(s), v) for v, s in enumerate(link)]
-    for e in h.edges:
-        for u, v in itertools.combinations(e, 2):
-            if u < cls[v] and {s for s in link[u] if v not in s} == {
-                s for s in link[v] if u not in s
-            }:
-                cls[v] = u
+        m = sum(map(bit.__getitem__, e))
+        for v in e:
+            sets[v].append(m ^ bit[v])
+    cls = list(range(h.n))
+    leaders: dict[int, list[int]] = {}
+    for v, s in enumerate(sets):
+        around = functools.reduce(operator.or_, s, 0)
+        for nbrs in (around, around | bit[v]):
+            group = leaders.get(nbrs)
+            if group is None:
+                leaders[nbrs] = [v]
+                continue
+            for u in group:
+                swap = bit[u] | bit[v]
+                if len(sets[u]) == len(s) and {
+                    m ^ swap if m & bit[v] else m for m in sets[u]
+                } == set(s):
+                    cls[v] = u
+                    break
+            else:
+                group.append(v)
+                continue
+            break
     return cls
 
 
@@ -382,19 +401,21 @@ def _copy_masks(
 
 
 @functools.cache
-def _code_tables(n: int, r: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _code_tables(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The r-set code tables of :func:`_min_edge_list` on n vertices.
 
     place[j]: the weight of an edge's j-th smallest label in its code.
-    pad[k][u]: the code of the tail k, k+1, ..., k+u-1 in an edge's last u
-    places (only read with u <= n-k).
+    label[k][t]: the code of label k in place t.
+    tail[k][t]: the code of the labels k, k+1, ..., k+r-t-1 in an edge's
+    places t..r-1 (only read with r-t <= n-k).
     """
     place = tuple(n ** (r - 1 - j) for j in range(r))
-    pad = tuple(
-        tuple(sum((k + j) * place[r - u + j] for j in range(u)) for u in range(r + 1))
+    label = tuple(tuple(k * w for w in place) for k in range(n))
+    tail = tuple(
+        tuple(sum((k + j - t) * place[j] for j in range(t, r)) for t in range(r + 1))
         for k in range(n + 1)
     )
-    return place, pad
+    return place, label, tail
 
 
 def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
@@ -406,8 +427,8 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     the integer sum of a_i * n**(r-1-i); no digit exceeds n-1, so the codes
     sort as the tuples do and an edge list compares as its list of codes.
 
-    Returns the least edge list, or, given an incumbent, the first list found
-    strictly below it, else the incumbent.
+    Returns the least edge list, or, given an incumbent, a list strictly
+    below it, else the incumbent.
 
     Bound.  When labels 0..k-1 are given, an edge with u unlabeled vertices
     ends as its labels followed by u distinct labels >= k, so its final code
@@ -419,9 +440,10 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     the sorted padded list, in turn, to at least the r-set next after its
     predecessor keeps the domination.  (Without this step, equal padded codes
     keep the bound of a complete hypergraph below its one final list, and
-    the search visits nearly all n! labelings.)  The result is an admissible
-    bound, and branches whose bound does not strictly beat the incumbent are
-    cut.  At k = n it is the final list.
+    the search visits nearly all n! labelings.)  Branches whose bound does
+    not strictly beat the best list so far are cut; the comparison stops at
+    the first entry that differs, and is skipped while no list is known.  At
+    k = n-1 the padding is the last label, so the bound is the final list.
 
     First-block rule.  Let c* be the largest codegree of an (r-1)-set.  The
     edges through {0..r-2} come first in any sorted edge list, and the least
@@ -430,91 +452,134 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     shorter loses at the position after it, where the least list still has an
     edge through {0..r-2}.  So every minimizing labeling gives labels 0..r-2 to
     an (r-1)-set of codegree c* and labels r-1..r-2+c* to its link, and only
-    such vertices are tried at those depths.  This cuts no minimizer, so the
-    result is exact.
+    such vertices are tried at those depths.
+
+    Twin rule.  Of each twin class (:func:`_twin_classes`), only the first
+    unlabeled vertex in candidate order is tried.  If u and w are unlabeled
+    twins, the automorphism (u w) fixes every labeled vertex and so leaves
+    the allowed vertices unchanged; it maps the subtree under u onto the one
+    under w, so both hold the same lists.  Neither rule cuts a minimizer, so
+    the result is exact.
+
+    Candidates are tried by the edges they would complete, then degree, then
+    id; each vertex's count of such edges is kept as labels come and go.
     """
     n, r = h.n, h.r
     if not h.edges:
         return ()
     links = h.links
-    top = max(m.bit_count() for m in links.values())
+    top = max(map(int.bit_count, links.values()))
     heads = [s for s, link in links.items() if link.bit_count() == top]
-    place, pad = _code_tables(n, r)
+    place, label, tails = _code_tables(n, r)
+    bit = [1 << v for v in range(n)]
     edges_at: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(h.edges):
         for v in e:
             edges_at[v].append(i)
+    emask = [sum(map(bit.__getitem__, e)) for e in h.edges]
+    # key[v]: the candidate key (edges v completes, degree, -v) in mixed
+    # radix; v is read off as n-1 - key % n.  A completion adds step.
     deg = h.degrees
-    placed = [False] * n
+    step = (max(deg) + 1) * n
+    key = [(deg[v] if r == 1 else 0) * step + deg[v] * n + n - 1 - v for v in range(n)]
+    # lower[v]: the twins of v below v, as a bitmask.
+    lower = [0] * n
+    seen: dict[int, int] = {}
+    for v, c in enumerate(_twin_classes(h)):
+        lower[v] = seen.get(c, 0)
+        seen[c] = lower[v] | bit[v]
+    twins = any(lower)
+    free = (1 << n) - 1  # the unlabeled vertices
     labeled: list[int] = []
     # Per edge: the labels given so far, each in its place, and their count.
     code = [0] * len(h.edges)
     cnt = [0] * len(h.edges)
     best = None
     if incumbent is not None:
-        best = [sum(a * w for a, w in zip(e, place)) for e in incumbent]
+        best = [sum(map(operator.mul, e, place)) for e in incumbent]
+    deep = r - 1 + top  # from this depth on, every unlabeled vertex is allowed
 
-    def allowed(k: int) -> Iterable[int]:
+    def allowed(k: int) -> int:
         if k < r - 1:
-            given = sum(1 << v for v in labeled)
+            given = sum(map(bit.__getitem__, labeled))
             m = 0
             for s in heads:
                 if s & given == given:
                     m |= s
-        elif k < r - 1 + top:
-            m = links[sum(1 << v for v in labeled[: r - 1])]
-        else:
-            return range(n)
-        return [v for v in range(n) if m >> v & 1]
+            return m & free
+        return links[sum(map(bit.__getitem__, labeled[: r - 1]))] & free
 
     def after(c: int) -> int:
         """The code of the r-set next after the one coded c in sorted order,
         or n**r, above every code, if there is none."""
-        if c % n < n - 1:
-            return c + 1
         a = [c // w % n for w in place]
         i = r - 1
         while i >= 0 and a[i] == n - r + i:
             i -= 1
         if i < 0:
             return n**r
-        return sum(a[j] * place[j] for j in range(i)) + pad[a[i] + 1][r - i]
+        return sum(a[j] * place[j] for j in range(i)) + tails[a[i] + 1][i]
 
     def rec(k: int) -> bool:  # True: stop
-        nonlocal best
-        tail = pad[k]
-        bound = sorted([c + tail[r - t] for c, t in zip(code, cnt)])
-        for j in range(1, len(bound)):
-            if bound[j] <= bound[j - 1]:
-                bound[j] = after(bound[j - 1])
-        if best is not None and bound >= best:
+        nonlocal best, free
+        m = free if k >= deep else allowed(k)
+        if not m:
             return False
-        if k == n:
-            best = bound
+        tail = tails[k]
+        if k == n - 1:
+            # The last vertex's label is k, its padding: the bound is final.
+            final = [c + tail[t] for c, t in zip(code, cnt)]
+            final.sort()
+            if best is not None and final >= best:
+                return False
+            best = final
             return incumbent is not None
-        cands = []
-        for v in allowed(k):
-            if not placed[v]:
-                newly = sum(cnt[i] == r - 1 for i in edges_at[v])
-                cands.append((-newly, -deg[v], v))
-        cands.sort()
-        for _, _, v in cands:
-            placed[v] = True
+        if best is not None:
+            bound = [c + tail[t] for c, t in zip(code, cnt)]
+            bound.sort()
+            prev = -1
+            for b, c in zip(bound, best):
+                if b <= prev:
+                    b = prev + 1 if prev % n < n - 1 else after(prev)
+                if b != c:
+                    if b > c:
+                        return False
+                    break
+                prev = b
+            else:
+                return False
+        if twins:
+            keys = [key[v] for v in range(n) if m >> v & 1 and not lower[v] & free]
+        else:
+            keys = [key[v] for v in range(n) if m >> v & 1]
+        keys.sort(reverse=True)
+        add = label[k]
+        for kv in keys:
+            v = n - 1 - kv % n
+            free ^= bit[v]
             labeled.append(v)
             for i in edges_at[v]:
-                code[i] += k * place[cnt[i]]
-                cnt[i] += 1
+                c = cnt[i]
+                code[i] += add[c]
+                cnt[i] = c + 1
+                if c == r - 2:
+                    key[(emask[i] & free).bit_length() - 1] += step
             stop = rec(k + 1)
             for i in edges_at[v]:
-                cnt[i] -= 1
-                code[i] -= k * place[cnt[i]]
+                c = cnt[i] = cnt[i] - 1
+                code[i] -= add[c]
+                if c == r - 2:
+                    key[(emask[i] & free).bit_length() - 1] -= step
             labeled.pop()
-            placed[v] = False
+            free ^= bit[v]
             if stop:
                 return True
         return False
 
+    start = best
     rec(0)
+    if best is start:
+        return incumbent
     return tuple(tuple(c // w % n for w in place) for c in best)
 
 

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -327,6 +328,14 @@ class TestTwinRule:
         rng = random.Random(101)
         graphs = [twin_heavy_pattern(rng, r) for r in (1, 2, 3, 4) for _ in range(30)]
         graphs += [random_hypergraph(rng, r, 7, p=0.5) for r in (2, 3) for _ in range(20)]
+        # Plain random hosts, from n = 0 and edgeless up to dense, many
+        # with isolated vertices.
+        graphs += [
+            random_hypergraph(rng, r, rng.randint(0, 8), p=rng.choice((0.0, 0.1, 0.3, 0.6, 0.9)))
+            for r in (1, 2, 3, 4)
+            for _ in range(60)
+        ]
+        graphs += [Hypergraph(r, n, ()) for r in (1, 2, 3, 4) for n in (0, 3)]
         graphs.append(iterated_blowup(build_h(3, 3), (0, 4)))
         for h in graphs:
             assert _twin_classes(h) == brute_twin_classes(h)
@@ -567,6 +576,104 @@ def _check_least_form(h, form_of, is_least):
     assert g.edges == forms[0]
     assert is_least(g)
     assert is_isomorphic(g, h)
+
+
+def complete_multipartite(r: int, sizes) -> Hypergraph:
+    """The r-graph on parts of the given sizes whose edges are the r-sets
+    meeting r distinct parts."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Hypergraph(r, len(part), tuple(
+        e for e in itertools.combinations(range(len(part)), r)
+        if len({part[v] for v in e}) == r
+    ))
+
+
+def disjoint_cliques(r: int, copies: int, s: int) -> Hypergraph:
+    """copies vertex-disjoint copies of the complete r-graph on s vertices."""
+    return Hypergraph(r, copies * s, tuple(
+        tuple(b * s + v for v in e)
+        for b in range(copies)
+        for e in itertools.combinations(range(s), r)
+    ))
+
+
+def parity_cases() -> list[Hypergraph]:
+    """1,600 seeded inputs of the canonical search.  1,200 are random
+    r-graphs with r = 1..4 and n <= 9.  400 are twin-heavy, relabeled at
+    random and with up to two isolated vertices added: complete multipartite
+    graphs, disjoint cliques, and blowup iterates of K^r_r and H^r_t."""
+    rng = random.Random(211)
+    cases = [
+        random_hypergraph(rng, 1 + i % 4, rng.randint(0, 9), p=rng.choice((0.2, 0.4, 0.6, 0.8)))
+        for i in range(1200)
+    ]
+    for i in range(400):
+        r = rng.choice((2, 3))
+        if i % 3 == 0:
+            h = complete_multipartite(r, [rng.randint(1, 3) for _ in range(rng.randint(r, 3))])
+        elif i % 3 == 1:
+            s = rng.randint(r, r + 2)
+            h = disjoint_cliques(r, rng.randint(1, 8 // s), s)
+        else:
+            base = build_complete(r, r) if rng.random() < 0.5 else build_h(r, rng.randint(1, 3))
+            steps: tuple[int, ...] = ()
+            for _ in range(rng.randint(1, 2)):
+                steps += (rng.randrange(iterated_blowup(base, steps).n),)
+            h = iterated_blowup(base, steps)
+        n = h.n + rng.randint(0, 2)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append(relabeled(Hypergraph(r, n, h.edges), perm))
+    return cases
+
+
+# SHA-256 of the canonical search's answers on parity_cases(), recorded
+# before the search compared its bound lazily, kept completion counts and
+# tried one vertex per twin class.
+CANONICAL_PARITY = "4da09cff93bff75622052c7b70565fb4ef27d648e2a96f4715a15ca87f669ff1"
+
+
+class TestCanonicalParity:
+    def test_pinned_sweep(self):
+        # Per case: the form, is_canonical of the input, and is_canonical of
+        # the form with two seeded vertices swapped, which is canonical only
+        # when the swap is an automorphism.  The form itself is canonical.
+        rng = random.Random(223)
+        answers = []
+        for h in parity_cases():
+            form = canonical_form(h)
+            assert is_canonical(Hypergraph(h.r, h.n, form))
+            perm = list(range(h.n))
+            if h.n >= 2:
+                a, b = rng.sample(perm, 2)
+                perm[a], perm[b] = b, a
+            near = relabeled(Hypergraph(h.r, h.n, form), perm)
+            answers.append((form, is_canonical(h), is_canonical(near)))
+        assert sha256(answers) == CANONICAL_PARITY
+
+
+def test_symmetric_hosts():
+    # K_{6,6}, 3 x K_4, 4 x K_3, K_{4,4,4} and 3 x K^3_4: each host's form
+    # agrees over three seeded relabelings and is canonical, and the twin
+    # rule keeps all five well under a second.
+    hosts = (
+        complete_multipartite(2, (6, 6)),
+        disjoint_cliques(2, 3, 4),
+        disjoint_cliques(2, 4, 3),
+        complete_multipartite(2, (4, 4, 4)),
+        disjoint_cliques(3, 3, 4),
+    )
+    rng = random.Random(227)
+    start = time.perf_counter()
+    for h in hosts:
+        forms = set()
+        for _ in range(3):
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            forms.add(canonical_form(relabeled(h, perm)))
+        (form,) = forms
+        assert is_canonical(Hypergraph(h.r, h.n, form))
+    assert time.perf_counter() - start < 0.5
 
 
 class TestCanonicalAtScale:
