@@ -32,7 +32,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     each list of exact ints joined in C.
 
     Before Python 3.13, ``indent`` selects the pure-Python encoder, which makes
-    several calls per integer, and certificates are mostly integer lists.
+    several calls per integer, and certificates are mostly integer lists.  A
+    list whose items share one shape (see :func:`_item_template`) is written
+    with one ``%`` template repeated per item, as :func:`format_hg` does.
     """
     inner = pad + "  "
     sep = "," + inner
@@ -41,6 +43,10 @@ def _json_text(obj, pad: str = "\n") -> str:
             return f"[{inner}{sep.join(map(str, obj))}{pad}]"
         if not obj:
             return "[]"
+        shaped = _item_template(obj, inner)
+        if shaped is not None:
+            item, ints = shaped
+            return f"[{inner}{sep.join([item] * len(obj))}{pad}]" % tuple(ints)
         return f"[{inner}{sep.join([_json_text(x, inner) for x in obj])}{pad}]"
     if isinstance(obj, dict):
         if not obj:
@@ -49,6 +55,48 @@ def _json_text(obj, pad: str = "\n") -> str:
         body = sep.join([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in items])
         return f"{{{inner}{body}{pad}}}"
     return json.dumps(obj)
+
+
+def _item_template(items, pad: str):
+    """The ``%d`` template of one item of a non-empty list, written at pad,
+    and the ints that fill the templates of all items in turn; or None.
+
+    The items must share one of two shapes: lists of one length, or dicts
+    with the same str keys in the same order whose values are lists of one
+    length per key.  Each such list is a list or tuple of at least one int of
+    type exactly int (json writes a bool as true).
+    """
+    first = items[0]
+    if type(first) is dict:
+        keys = list(first)
+        if not keys or not all(type(k) is str for k in keys):
+            return None
+        if not all(type(x) is dict and list(x) == keys for x in items):
+            return None
+        rows = [v for x in items for v in x.values()]
+    else:
+        keys, rows = [None], items
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    sizes = list(map(len, rows[: len(keys)]))
+    if 0 in sizes or list(map(len, rows)) != sizes * len(items):
+        return None
+    ints = list(itertools.chain.from_iterable(rows))
+    if set(map(type, ints)) != {int}:
+        return None
+    if keys == [None]:
+        return _slots(sizes[0], pad), ints
+    inner = pad + "  "
+    fields = [
+        f"{_json_str(k).replace('%', '%%')}: {_slots(n, inner)}" for k, n in zip(keys, sizes)
+    ]
+    return f"{{{inner}{(',' + inner).join(fields)}{pad}}}", ints
+
+
+def _slots(count: int, pad: str) -> str:
+    """A list of count ``%d`` slots, written at pad."""
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(['%d'] * count)}{pad}]"
 
 
 def _decimals(fields: list[str], line_no: int, what: str) -> tuple[int, ...]:

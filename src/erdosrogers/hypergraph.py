@@ -6,11 +6,13 @@ integers ``0 .. n-1`` and edges are sorted ``r``-tuples kept in sorted
 (lexicographic) order, so two equal hypergraphs always compare equal and
 serialize identically.  The indices the searches read are cached on the
 value, built on first use: ``edge_set``, ``degrees``, and in vertex bitmasks
-``links`` and ``nbhd``.
+``links``, ``nbhd`` and ``codeg2`` (the vertices sharing two or more edges
+with a vertex, which only embedding searches read).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,6 +109,29 @@ class Hypergraph:
             for v in e:
                 nbhd[v] |= m
         return tuple(m & ~(1 << v) for v, m in enumerate(nbhd))
+
+    @cached_property
+    def codeg2(self) -> tuple[int, ...]:
+        """For each vertex, the bitmask of the vertices sharing at least two edges with it.
+
+        With r = 3 a pair's codegree is the bit count of its ``links`` entry;
+        for other r each edge's pairs are counted.
+        """
+        if self.r == 3:
+            pairs = [k for k, m in self.links.items() if m & (m - 1)]
+        else:
+            count = collections.Counter(
+                (1 << u) + (1 << v)
+                for e in self.edges
+                for u, v in itertools.combinations(e, 2)
+            )
+            pairs = [k for k, c in count.items() if c > 1]
+        codeg2 = [0] * self.n
+        for k in pairs:
+            low = k & -k
+            codeg2[low.bit_length() - 1] |= k ^ low
+            codeg2[(k ^ low).bit_length() - 1] |= low
+        return tuple(codeg2)
 
     def __str__(self) -> str:
         return f"Hypergraph(r={self.r}, n={self.n}, e={len(self.edges)})"

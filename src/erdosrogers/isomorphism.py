@@ -3,9 +3,10 @@
 One deterministic backtracker, :func:`_iter_maps`, finds both embeddings
 (injective) and homomorphisms (see :mod:`.morphisms`), and states the rules
 both share: equal uniformity, a fixed search order, candidate sets as
-bitmasks over the host's :attr:`~.Hypergraph.links` and :attr:`~.Hypergraph.nbhd`,
-and the twin rule that the copy searches (:func:`contains_copy`,
-:func:`count_embeddings`, :func:`_copy_masks`) use without changing the first witness.
+bitmasks over the host's :attr:`~.Hypergraph.links` and :attr:`~.Hypergraph.nbhd`
+(and, for embeddings, :attr:`~.Hypergraph.codeg2`), and the twin rule that the
+copy searches (:func:`contains_copy`, :func:`count_embeddings`,
+:func:`_copy_masks`) use without changing the first witness.
 The canonical search reads the same twin classes (:func:`_twin_classes`).
 """
 
@@ -224,13 +225,21 @@ def _iter_maps(
         is skipped, as that edge's link entry already lies inside it.
       - Embeddings only: an image not yet used, of host degree at least p's
         pattern degree (one mask per distinct pattern degree).
+      - Embeddings only, codegree: for each q of the neighbourhood rule that
+        shares two or more pattern edges with p (the pattern's ``codeg2``),
+        the host's ``codeg2`` entry of q's image, in place of its ``nbhd``
+        entry: the vertices sharing two or more host edges with it.
     Each test holds for every map.  An edge through p and q lands on r
     distinct vertices that form a host edge, so p's image differs from q's
     and shares a host edge with it; and an embedding's images are distinct,
-    each in at least as many host edges as its vertex has pattern edges.  So
-    no map is removed, and the maps and their order are those of trying
-    every host vertex and testing the edges at their last vertex.  The
-    neighbourhood rule matters at depths where no edge completes, such as
+    each in at least as many host edges as its vertex has pattern edges.
+    An injective map also sends distinct pattern edges to distinct host
+    edges, so two edges through p and q give two host edges through their
+    images.  A homomorphism may send both onto one host edge (the triples
+    {0, 1, 2} and {0, 1, 3} onto K^3_3), so it is exempt.  So no map is
+    removed, and the maps and their order are those of trying every host
+    vertex and testing the edges at their last vertex.  The neighbourhood
+    and codegree rules matter at depths where no edge completes, such as
     the second vertex of a 3-graph pattern: there the other tests leave
     every unused host vertex of high enough degree.
 
@@ -262,8 +271,16 @@ def _iter_maps(
             twin[d] = last_of.get(cls[v], -1)
             last_of[cls[v]] = v
     links, nbhd = host.links, host.nbhd
+    # two[d]: for an embedding, the vertices of nbrs[d] that share two or
+    # more edges with order[d], moved out of nbrs[d].  Their images are read
+    # in the host's codeg2, which is built at its first read.
+    two: list = [()] * n
     # base[d]: the host vertices order[d] may take whatever is placed.
     if injective:
+        pair2 = pattern.codeg2
+        if any(pair2):
+            two = [[u for u in us if pair2[v] >> u & 1] for v, us in zip(order, nbrs)]
+            nbrs = [[u for u in us if not pair2[v] >> u & 1] for v, us in zip(order, nbrs)]
         hdeg = host.degrees
         at_least = {
             k: sum(1 << c for c in range(host.n) if hdeg[c] >= k) for k in set(pdeg)
@@ -280,6 +297,8 @@ def _iter_maps(
             m &= links.get(sum(map(bits.__getitem__, others)), 0)
         for u in nbrs[d]:
             m &= nbhd[images[u]]
+        for u in two[d]:
+            m &= host.codeg2[images[u]]
         if twin[d] >= 0:
             m &= -2 << images[twin[d]]
         return m
@@ -375,7 +394,8 @@ def _copy_masks(
     # Keyed by its vertex bitmask, an image edge needs no sorting.
     edge_bit = {sum(map(bit.__getitem__, e)): 1 << i for i, e in enumerate(h.edges)}
     for p in parts:
-        core = induced(f, p)
+        # A component on all of f's vertices is f, whose indices are cached.
+        core = f if len(p) == f.n else induced(f, p)
         maps = []
         for img in _iter_maps(core, h, injective=True, break_twins=True):
             steps += 1

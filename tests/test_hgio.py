@@ -202,6 +202,68 @@ def random_json(rng: random.Random, depth: int):
     return {key: random_json(rng, depth - 1) for key in keys}
 
 
+def random_rows(rng: random.Random):
+    """A list of int lists of one length, or of records with the same keys
+    holding int lists of one length per key (the shapes the writer fills from
+    one template), with now and then one item broken: another length, an
+    empty list, a bool or float entry, keys in another order, a key missing."""
+    count = rng.choice([1, 2, 3, 5])
+    ints = lambda k: [rng.randrange(-(2**66), 2**66) for _ in range(k)]
+    if rng.random() < 0.5:
+        size = rng.choice([0, 1, 2, 3])
+        items = [ints(size) for _ in range(count)]
+    else:
+        keys = rng.sample(["S", "g_S", "f_S", "a%d", "\u00e9", 'q"'], rng.randint(1, 3))
+        sizes = {k: rng.choice([0, 1, 2, 3]) for k in keys}
+        items = [{k: ints(sizes[k]) for k in keys} for _ in range(count)]
+    if rng.random() < 0.5:
+        i = rng.randrange(count)
+        row = items[i]
+        fault = rng.randrange(5)
+        if isinstance(row, dict):
+            k = rng.choice(list(row))
+            if fault == 0:
+                items[i] = dict(reversed(row.items()))
+            elif fault == 1:
+                del row[k]
+            elif fault == 2:
+                row[k] = ints(len(row[k]) + 1)
+            elif row[k]:
+                row[k][0] = rng.choice([True, False, 1.0])
+        elif fault == 0:
+            items[i] = ints(len(row) + 1)
+        elif row:
+            row[0] = rng.choice([True, False, 1.0, -0.0])
+    if rng.random() < 0.3:
+        items = [tuple(x) if isinstance(x, list) else x for x in items]
+    return items if rng.random() < 0.8 else tuple(items)
+
+
+JSON_SHAPES = [
+    [[1, 2], [3, 4]],
+    [[], []],
+    [(1, 2), [3, 4], (5, 6)],
+    ((7,), (8,)),
+    [[1, 2], [3]],
+    [[1, 2], [3, True]],
+    [[1, 2], [3, 4.0]],
+    [{"S": [0, 1], "g_S": [2, 3], "f_S": [2, 3]}] * 3,
+    [{"S": [0, 1], "g_S": [2]}, {"g_S": [3], "S": [4, 5]}],
+    [{"S": [0, 1], "g_S": [2]}, {"S": [4, 5]}],
+    [{"S": [0, 1], "g_S": [2]}, {"S": [4, 5], "g_S": [False]}],
+    [{"S": [0, 1]}, {"S": [4, 5, 6]}],
+    [{"S": []}, {"S": []}],
+    [{"a%d %s %%": (1,)}, {"a%d %s %%": [2]}],
+    [{}, {}],
+    {"edges": [[0, 1, 2], [0, 1, 3]], "labels": [{"S": [0], "g_S": [1, 2]}]},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_SHAPES)
+def test_json_text_shapes(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
 def test_json_text_matches_json_dumps():
     # Python 3.13 runs json.dumps(..., indent=2) in C, older versions in pure
     # Python; CI compares the writer with both.
@@ -209,6 +271,10 @@ def test_json_text_matches_json_dumps():
     for _ in range(2000):
         obj = random_json(rng, 4)
         assert _json_text(obj) == json.dumps(obj, indent=2)
+    for _ in range(2000):
+        obj = random_rows(rng)
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+        assert _json_text({"k": [obj]}) == json.dumps({"k": [obj]}, indent=2)
 
 
 def test_json_text_rejects_non_str_keys():

@@ -66,7 +66,7 @@ def mask(vertices) -> int:
 
 
 class TestIndices:
-    """links and nbhd against their definitions, read off the edges as sets."""
+    """links, nbhd and codeg2 against their definitions, read off the edges as sets."""
 
     @staticmethod
     def hosts():
@@ -90,8 +90,14 @@ class TestIndices:
             assert h.nbhd == tuple(
                 mask({u for e in h.edges if v in e for u in e} - {v}) for v in range(h.n)
             )
+            assert h.codeg2 == tuple(
+                mask(u for u in range(h.n) if u != v and sum({u, v} <= set(e) for e in h.edges) > 1)
+                for v in range(h.n)
+            )
             if h.r == 1:  # the one key is the empty set's; no vertex has a neighbour
                 assert set(h.links) <= {0} and not any(h.nbhd)
+            if h.r <= 2:  # distinct edges share at most r - 1 < 2 vertices
+                assert not any(h.codeg2)
 
     def test_built_once(self):
         # Searches on one host read its cached index, not a fresh one.

@@ -294,6 +294,69 @@ class TestYieldOrder:
         assert sha256(maps) == SHADOW_PATH_100
 
 
+def linear_hosts() -> list[Hypergraph]:
+    """The Fano plane and STS(9), the lines of the affine plane over Z_3:
+    every pair of points lies in exactly one edge."""
+    fano = Hypergraph(3, 7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+    points = list(itertools.product(range(3), repeat=2))
+    lines = {
+        frozenset(points.index(((a[0] + t * d[0]) % 3, (a[1] + t * d[1]) % 3)) for t in range(3))
+        for a in points
+        for d in ((0, 1), (1, 0), (1, 1), (1, 2))
+    }
+    return [fano, Hypergraph(3, 9, [tuple(x) for x in lines])]
+
+
+# SHA-256 of the first embedding (None if none) of each case of
+# TestCodegree.test_r4_sweep, recorded before the codegree test was added.
+R4_FIRST_MAPS = "70d2418b90ac2c95014b259354faffd6f3b0cea52bc3edc71faa1e186049a8bf"
+
+
+class TestCodegree:
+    """An embedding sends a pair in two or more pattern edges to a pair in
+    two or more host edges; a homomorphism need not."""
+
+    def test_linear_hosts(self, k34, tc5_gap, h33):
+        loose_triangle = Hypergraph(3, 6, ((0, 1, 2), (2, 3, 4), (0, 4, 5)))
+        for host in linear_hosts():
+            assert len(host.edges) == host.n * (host.n - 1) // 6
+            assert not any(host.codeg2)
+            for pattern in (k34, tc5_gap, h33):
+                assert any(pattern.codeg2)
+                assert contains_copy(host, pattern) is None
+                assert not list(oracle_maps(pattern, host))
+            maps = set(_iter_maps(loose_triangle, host, True))
+            assert maps and maps == set(oracle_maps(loose_triangle, host))
+
+    def test_r4_sweep(self):
+        # 4-graph patterns with a pair in two or more edges, in hosts from
+        # sparse (pairs of codegree 1 common) to dense; the maps come in
+        # lexicographic order of their images read in placement order.
+        rng = random.Random(23)
+        firsts = []
+        while len(firsts) < 80:
+            pattern = random_hypergraph(rng, 4, rng.randint(5, 7), p=rng.choice((0.1, 0.2, 0.5)))
+            if not any(pattern.codeg2):
+                continue
+            host = random_hypergraph(
+                rng, 4, rng.randint(6, 9), p=rng.choice((0.06, 0.12, 0.25, 0.6))
+            )
+            maps = list(_iter_maps(pattern, host, True))
+            assert set(maps) == set(oracle_maps(pattern, host))
+            order = _plan(pattern)[0]
+            keys = [tuple(m[v] for v in order) for m in maps]
+            assert keys == sorted(set(keys))
+            firsts.append(maps[0] if maps else None)
+        assert sha256(firsts) == R4_FIRST_MAPS
+
+    def test_hom_folds_a_pair_of_codegree_two(self, k33):
+        # The two triples on {0, 1} land on K^3_3's one edge, whose pairs
+        # have codegree 1.
+        g = Hypergraph(3, 4, ((0, 1, 2), (0, 1, 3)))
+        w = find_homomorphism(g, k33)
+        assert w is not None and w.images[2] == w.images[3]
+
+
 def twin_heavy_pattern(rng: random.Random, r: int) -> Hypergraph:
     """A random small pattern, mostly with large twin classes: complete, a
     depth-1 blowup iterate, with isolated vertices, edgeless, or plain random."""
