@@ -166,10 +166,16 @@ def shadow(h: Hypergraph, k: int) -> Hypergraph:
 
 
 def induced(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
-    """The subgraph induced on a vertex subset, relabeled order-preservingly to 0..|W|-1."""
+    """The subgraph induced on a vertex subset, relabeled order-preservingly to 0..|W|-1.
+
+    The whole vertex set gives ``h`` itself, with its cached indices.
+    """
     w = sorted(set(vertices))
     if w and (w[0] < 0 or w[-1] >= h.n):
         raise InvalidParameterError(f"vertex subset {w} not within 0..{h.n - 1}")
+    if len(w) == h.n:
+        # All of h's vertices: h itself, whose cached indices are kept.
+        return h
     if math.comb(len(w), h.r) < len(h.edges):
         # Fewer r-subsets of W than edges: look each subset up instead.
         edges = [

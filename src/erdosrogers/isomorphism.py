@@ -394,8 +394,7 @@ def _copy_masks(
     # Keyed by its vertex bitmask, an image edge needs no sorting.
     edge_bit = {sum(map(bit.__getitem__, e)): 1 << i for i, e in enumerate(h.edges)}
     for p in parts:
-        # A component on all of f's vertices is f, whose indices are cached.
-        core = f if len(p) == f.n else induced(f, p)
+        core = induced(f, p)
         maps = []
         for img in _iter_maps(core, h, injective=True, break_twins=True):
             steps += 1

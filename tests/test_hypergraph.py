@@ -166,6 +166,12 @@ class TestInduced:
     def test_empty_subset(self, k34):
         assert induced(k34, []) == Hypergraph(3, 0, ())
 
+    def test_whole_vertex_set_is_the_graph(self, k34):
+        # Hypergraph is immutable, so its cached indices are shared.
+        assert induced(k34, [3, 1, 0, 2, 1]) is k34
+        with pytest.raises(InvalidParameterError):
+            induced(k34, [0, 1, 2, 4])
+
     def test_h32_no_surviving_edges(self, h32):
         assert induced(h32, [0, 2, 3]).edges == ()
 
