@@ -72,34 +72,34 @@ def _rational(text: str) -> str:
 # Parsed arguments that the report does not echo as inputs: argparse and
 # dispatch bookkeeping, the ignored --threads, the seed (a top-level key of its
 # own) and the output paths (echoed in the result).
-_NOT_ECHOED = {"command", "exponent", "threads", "seed", "out", "cert"}
+_NOT_ECHOED = {
+    "command", "handler", "hg_files", "exponent", "threads", "seed", "out", "cert"
+}
 
 
-def _cmd_shadow(args):
-    return {"hypergraph": hgio.to_json_obj(shadow(hgio.load_hg(args.file), args.k))}
+def _cmd_shadow(args, h):
+    return {"hypergraph": hgio.to_json_obj(shadow(h, args.k))}
 
 
-def _cmd_hom(args):
-    witness = morphisms.find_homomorphism(hgio.load_hg(args.G), hgio.load_hg(args.F))
+def _cmd_hom(args, g, f):
+    witness = morphisms.find_homomorphism(g, f)
     return {"found": witness is not None, "witness": _embedding_obj(witness)}
 
 
-def _cmd_shadow_hom(args):
-    g, f = hgio.load_hg(args.G), hgio.load_hg(args.F)
+def _cmd_shadow_hom(args, g, f):
     witness = morphisms.find_shadow_homomorphism(g, f, args.k)
     return {"found": witness is not None, "witness": _witness_obj(witness)}
 
 
-def _cmd_tight(args):
-    order = morphisms.is_k_tightly_connected(hgio.load_hg(args.G), args.k)
+def _cmd_tight(args, g):
+    order = morphisms.is_k_tightly_connected(g, args.k)
     return {
         "found": order is not None,
         "order": None if order is None else [list(e) for e in order.order],
     }
 
 
-def _cmd_blowup_member(args):
-    g, f = hgio.load_hg(args.G), hgio.load_hg(args.F)
+def _cmd_blowup_member(args, g, f):
     cert = morphisms.is_sub_iterated_blowup(g, f, args.max_steps)
     return {
         "found": cert is not None,
@@ -108,8 +108,8 @@ def _cmd_blowup_member(args):
     }
 
 
-def _cmd_density(args):
-    report = args.exponent(hgio.load_hg(args.F))
+def _cmd_density(args, f):
+    report = args.exponent(f)
     return {
         "value": _fraction_str(report.value),
         "witness_vertices": list(report.witness_vertices),
@@ -118,8 +118,7 @@ def _cmd_density(args):
     }
 
 
-def _cmd_construct(args):
-    f = hgio.load_hg(args.F)
+def _cmd_construct(args, f):
     params = constructions.ConstructionParams(c1=Fraction(args.c1), seed=args.seed)
     if args.mode == "coloring":
         h, cert = constructions.construct_coloring(args.n, f, params)
@@ -146,13 +145,12 @@ def _cmd_construct(args):
     }
 
 
-def _cmd_verify_gfree(args):
-    violation = contains_copy(hgio.load_hg(args.H), hgio.load_hg(args.G))
+def _cmd_verify_gfree(args, h, g):
+    violation = contains_copy(h, g)
     return {"g_free": violation is None, "violation": _embedding_obj(violation)}
 
 
-def _cmd_cover(args):
-    h, f = hgio.load_hg(args.H), hgio.load_hg(args.F)
+def _cmd_cover(args, h, f):
     est = constructions.estimate_f_cover(
         h, f, args.w, args.trials, args.seed, exhaustive=args.exhaustive
     )
@@ -165,8 +163,7 @@ def _cmd_cover(args):
     }
 
 
-def _cmd_extract(args):
-    h, f = hgio.load_hg(args.H), hgio.load_hg(args.F)
+def _cmd_extract(args, h, f):
     emb = constructions.extract_blowup_copy(h, f, args.steps)
     found = emb is not None
     return {
@@ -177,38 +174,25 @@ def _cmd_extract(args):
     }
 
 
-def _cmd_maxfree(args):
-    res = exact.max_f_free_subset(hgio.load_hg(args.H), hgio.load_hg(args.F))
+def _cmd_maxfree(args, h, f):
+    res = exact.max_f_free_subset(h, f)
     return {"size": res.size, "witness": list(res.witness)}
 
 
-def _cmd_f_exact(args):
-    res = exact.f_exact(hgio.load_hg(args.F), hgio.load_hg(args.G), args.n)
+def _cmd_f_exact(args, f, g):
+    res = exact.f_exact(f, g, args.n)
     return {"value": res.value, "extremal": hgio.to_json_obj(res.extremal)}
-
-
-# Subcommand name -> handler; run() dispatches through this table.
-_HANDLERS = {
-    "shadow": _cmd_shadow,
-    "hom": _cmd_hom,
-    "shadow-hom": _cmd_shadow_hom,
-    "tight": _cmd_tight,
-    "blowup-member": _cmd_blowup_member,
-    "alpha": _cmd_density,
-    "beta": _cmd_density,
-    "construct": _cmd_construct,
-    "verify-gfree": _cmd_verify_gfree,
-    "cover": _cmd_cover,
-    "extract": _cmd_extract,
-    "maxfree": _cmd_maxfree,
-    "f-exact": _cmd_f_exact,
-}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The erog parser, built once per process and shared by every run().
 
+    Each subcommand is declared by one ``command`` call: its name, handler and
+    help text, then the dests of its hypergraph files in load order, first the
+    positional ones, which ``command`` adds, then ``loads``, options that the
+    caller adds.  run() loads those files and calls
+    ``handler(args, *hypergraphs)``.
     Positional and option dests are the report's input keys.
     """
     common = argparse.ArgumentParser(add_help=False)
@@ -224,45 +208,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shadow", parents=[common], help="k-shadow of a hypergraph")
-    p.add_argument("file")
+    def command(name, handler, help, *files, loads=(), **defaults):
+        p = sub.add_parser(name, parents=[common], help=help)
+        for dest in files:
+            p.add_argument(dest)
+        p.set_defaults(handler=handler, hg_files=files + loads, **defaults)
+        return p
+
+    p = command("shadow", _cmd_shadow, "k-shadow of a hypergraph", "file")
     p.add_argument("-k", type=int, required=True)
 
-    p = sub.add_parser("hom", parents=[common], help="homomorphism from G to F")
-    p.add_argument("G")
-    p.add_argument("F")
+    command("hom", _cmd_hom, "homomorphism from G to F", "G", "F")
 
-    p = sub.add_parser(
-        "shadow-hom", parents=[common], help="k-shadow-homomorphism from G to F"
+    p = command(
+        "shadow-hom", _cmd_shadow_hom, "k-shadow-homomorphism from G to F", "G", "F"
     )
-    p.add_argument("G")
-    p.add_argument("F")
     p.add_argument("-k", type=int, required=True)
 
-    p = sub.add_parser("tight", parents=[common], help="k-tight connectivity of G")
-    p.add_argument("G")
+    p = command("tight", _cmd_tight, "k-tight connectivity of G", "G")
     p.add_argument("-k", type=int, required=True)
 
-    p = sub.add_parser(
+    p = command(
         "blowup-member",
-        parents=[common],
-        help="is G a subgraph of an F-iterated blowup (bounded depth); for r >= 2, "
+        _cmd_blowup_member,
+        "is G a subgraph of an F-iterated blowup (bounded depth); for r >= 2, "
         "exit 1 with --max-steps >= v(G) - 2 means G is in no iterated blowup of F",
+        "G",
+        "F",
     )
-    p.add_argument("G")
-    p.add_argument("F")
     p.add_argument("--max-steps", type=int, default=4)
 
-    p = sub.add_parser("alpha", parents=[common], help="offset-1 density exponent")
-    p.add_argument("F")
-    p.set_defaults(exponent=exponents.alpha)
+    command(
+        "alpha", _cmd_density, "offset-1 density exponent", "F",
+        exponent=exponents.alpha,
+    )
+    command(
+        "beta", _cmd_density, "offset-0 density exponent", "F",
+        exponent=exponents.beta,
+    )
 
-    p = sub.add_parser("beta", parents=[common], help="offset-0 density exponent")
-    p.add_argument("F")
-    p.set_defaults(exponent=exponents.beta)
-
-    p = sub.add_parser(
-        "construct", parents=[common], help="seeded randomized constructions"
+    p = command(
+        "construct", _cmd_construct, "seeded randomized constructions", loads=("F",)
     )
     p.add_argument("mode", choices=["coloring", "labeling"])
     p.add_argument("-n", type=int, required=True)
@@ -279,40 +265,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", dest="out", default=None)
     p.add_argument("--cert", default=None)
 
-    p = sub.add_parser(
-        "verify-gfree", parents=[common], help="exhaustive G-freeness check of H"
+    command(
+        "verify-gfree", _cmd_verify_gfree, "exhaustive G-freeness check of H", "H", "G"
     )
-    p.add_argument("H")
-    p.add_argument("G")
 
-    p = sub.add_parser(
-        "cover", parents=[common], help="fraction of w-subsets of H containing F"
+    p = command(
+        "cover", _cmd_cover, "fraction of w-subsets of H containing F", "H", "F"
     )
-    p.add_argument("H")
-    p.add_argument("F")
     p.add_argument("-w", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
 
-    p = sub.add_parser(
-        "extract", parents=[common], help="extract an iterated-blowup copy from H"
+    p = command(
+        "extract", _cmd_extract, "extract an iterated-blowup copy from H", "H", "F"
     )
-    p.add_argument("H")
-    p.add_argument("F")
     p.add_argument("--steps", type=_int_list, default=[])
 
-    p = sub.add_parser(
-        "maxfree", parents=[common], help="maximum F-free induced subset of H"
-    )
-    p.add_argument("H")
-    p.add_argument("F")
+    command("maxfree", _cmd_maxfree, "maximum F-free induced subset of H", "H", "F")
 
-    p = sub.add_parser(
-        "f-exact", parents=[common], help="exact extremal value at tiny n"
-    )
-    p.add_argument("F")
-    p.add_argument("G")
+    p = command("f-exact", _cmd_f_exact, "exact extremal value at tiny n", "F", "G")
     p.add_argument("-n", type=int, required=True)
 
     return parser
@@ -326,7 +298,8 @@ def run(argv=None) -> int:
         return code
     start = time.perf_counter()
     try:
-        result = _HANDLERS[args.command](args)
+        graphs = [hgio.load_hg(getattr(args, dest)) for dest in args.hg_files]
+        result = args.handler(args, *graphs)
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

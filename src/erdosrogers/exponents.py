@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, InvalidParameterError
-from .hypergraph import Hypergraph, shadow
+from .hypergraph import Hypergraph, induced, shadow
 from .isomorphism import canonical_form
 
 VERTEX_ENUM_CAP = 16
@@ -44,12 +44,6 @@ class DensityReport:
             len(self.witness_edges) + self.numerator_offset,
             len(self.witness_vertices) - 1,
         )
-
-
-def _witness_canon(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
-    relabel = {v: i for i, v in enumerate(vertices)}
-    h = Hypergraph(2, len(vertices), tuple(tuple(relabel[v] for v in e) for e in edges))
-    return canonical_form(h)
 
 
 def _densest(f: Hypergraph, offset: int) -> DensityReport:
@@ -83,7 +77,7 @@ def _densest(f: Hypergraph, offset: int) -> DensityReport:
         for value, neg_size, s in scored if (value, neg_size) == top
     ]
     if len(tied) > 1:
-        tied.sort(key=lambda w: (_witness_canon(*w), w[1]))
+        tied.sort(key=lambda w: (canonical_form(induced(sh, w[0])), w[1]))
     vertices, edges = tied[0]
     return DensityReport(top[0], vertices, edges, offset)
 

@@ -209,10 +209,35 @@ def test_non_utf8_file_exit_2(tmp_path, capsys, suffix):
 
 def test_missing_file_exit_2(files, capsys):
     missing = str(files["dir"] / "missing.hg")
-    assert run(["shadow", missing, "-k", "2"]) == 2
+    # The only file, and the second of two after the first has loaded.
+    for argv in (["shadow", missing, "-k", "2"], ["hom", files["k33"], missing]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing.hg" in captured.err
+
+
+def test_files_load_in_declared_order(tmp_path, capsys):
+    # Both files are malformed; the error is G's, the first file hom declares.
+    bad_g, bad_f = str(tmp_path / "bad_g.hg"), str(tmp_path / "bad_f.hg")
+    Path(bad_g).write_text("3 4\n0 1 2\n0 1\n")
+    Path(bad_f).write_text("3 4\n0 1\n")
+    assert run(["hom", bad_g, bad_f]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "missing.hg" in captured.err
+    assert captured.err.startswith("error: line 3")
+
+
+def test_crash_while_loading_exit_4(files, capsys, monkeypatch):
+    def boom(*args):
+        raise RecursionError("boom")
+
+    monkeypatch.setattr(cli.hgio, "parse_hg", boom)
+    assert run(["hom", files["k33"], files["k34"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -271,10 +296,10 @@ def test_c1_color_count_exit_3(files, capsys, n, c1):
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError, KeyError])
 def test_internal_error_exit_4(files, capsys, monkeypatch, exc):
-    def boom(args):
+    def boom(*args):
         raise exc("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "shadow", boom)
+    monkeypatch.setattr(cli, "shadow", boom)
     assert run(["shadow", files["h32"], "-k", "2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -126,9 +126,9 @@ class TestTieBreakSize:
         # intersection as a maximizer with fewer vertices.  A tie within 16
         # covered vertices therefore compares witnesses of at most 8.
         tied = []
-        canon = exponents._witness_canon
+        induced = exponents.induced
         monkeypatch.setattr(
-            exponents, "_witness_canon", lambda v, e: tied.append(set(v)) or canon(v, e)
+            exponents, "induced", lambda h, v: tied.append(set(v)) or induced(h, v)
         )
         # Two K^3_5 sharing vertex 4: their K_5 shadows tie for alpha and beta.
         k5s = [c for c in itertools.combinations(range(9), 3) if max(c) < 5 or min(c) > 3]
