@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report structure, file round-trips, determinism."""
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -11,7 +12,7 @@ from erdosrogers import Hypergraph, build_complete, build_h
 from erdosrogers import cli
 from erdosrogers.cli import run
 from erdosrogers.hgio import load_hg, save_hg
-from conftest import random_hypergraph, tight_c5_minus_edge
+from conftest import random_hypergraph, tight_c5_minus_edge, tight_cycle
 
 
 HOSTS = {
@@ -23,6 +24,13 @@ HOSTS = {
     "m2": Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5))),
     # 40 vertices, 87 triples: about a third of its 8-sets hold one.
     "r40": random_hypergraph(random.Random(40), 3, 40, p=0.01),
+    # The exponents' 16 covered vertices (VERTEX_ENUM_CAP), then one more.
+    # Two disjoint K^3_8 tie between two 8-vertex witnesses.
+    "tc16": tight_cycle(3, 16),
+    "k38x2": Hypergraph(3, 16, tuple(
+        e for e in itertools.combinations(range(16), 3) if max(e) < 8 or min(e) > 7
+    )),
+    "tc17": tight_cycle(3, 17),
 }
 
 # Per invocation: argv (paths relative to the directory holding HOSTS), the
