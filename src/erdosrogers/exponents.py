@@ -8,13 +8,15 @@ pattern-free induced subset the corresponding constructions leave behind.
 
 Any maximizer must contain every shadow edge among its covered vertices
 (adding such an edge raises the numerator without changing the denominator),
-so enumerating the induced subgraphs without isolated vertices is exact.
-The tests check it against a sweep of all 2^e edge subsets.
+so visiting the induced subgraphs without isolated vertices is exact.  One
+depth-first walk adds covered vertices in increasing order, updating the
+set's bitmask, edge count and neighbourhood union in O(1) per step, and keeps
+per size only the largest edge count and the sets reaching it.  The tests
+check it against sweeps of all vertex subsets and of all 2^e edge subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,28 +60,42 @@ def _densest(f: Hypergraph, offset: int) -> DensityReport:
             f"exact enumeration limited to {VERTEX_ENUM_CAP} covered vertices, "
             f"got {len(pool)}"
         )
-    nbhd = sh.nbhd
-    # A vertex set with an isolated vertex has the same edges as the smaller
-    # set those edges cover, so it only repeats that set's witness.  Only the
-    # sets covered by their own shadow edges are visited; each is its witness.
-    scored = []
-    for size in range(2, len(pool) + 1):
-        for s in itertools.combinations(pool, size):
-            inside = sum(1 << v for v in s)
-            degrees = [(nbhd[v] & inside).bit_count() for v in s]
-            if all(degrees):
-                scored.append((Fraction(sum(degrees) // 2 + offset, size - 1), -size, s))
+    # Per size: the most shadow edges of a set without an isolated vertex,
+    # and the sets with that many, in lexicographic order.
+    most = [-1] * (len(pool) + 1)
+    kept = [[] for _ in most]
+    steps = [(j + 1, 1 << v, sh.nbhd[v]) for j, v in enumerate(pool)]
+
+    def walk(i, inside, count, union):
+        for after, bit, nbhd in steps[i:]:
+            grown = inside | bit
+            edges = count + (nbhd & inside).bit_count()
+            reach = union | nbhd
+            if not grown & ~reach:
+                size = grown.bit_count()
+                if edges > most[size]:
+                    most[size] = edges
+                    kept[size] = [grown]
+                elif edges == most[size]:
+                    kept[size].append(grown)
+            if after < len(steps):
+                walk(after, grown, edges, reach)
+
+    walk(0, 0, 0, 0)
     # Maximum value, then fewest vertices, then the least (canonical form,
     # edge list), which is computed only for witnesses still tied.
-    top = max(key[:2] for key in scored)
+    value, neg_size = max(
+        (Fraction(c + offset, n - 1), -n) for n, c in enumerate(most) if c >= 0
+    )
     tied = [
-        (s, tuple(e for e in sh.edges if e[0] in s and e[1] in s))
-        for value, neg_size, s in scored if (value, neg_size) == top
+        (tuple(v for v in pool if mask >> v & 1),
+         tuple((a, b) for a, b in sh.edges if mask >> a & mask >> b & 1))
+        for mask in kept[-neg_size]
     ]
     if len(tied) > 1:
         tied.sort(key=lambda w: (canonical_form(induced(sh, w[0])), w[1]))
     vertices, edges = tied[0]
-    return DensityReport(top[0], vertices, edges, offset)
+    return DensityReport(value, vertices, edges, offset)
 
 
 def alpha(f: Hypergraph) -> DensityReport:

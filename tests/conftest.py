@@ -6,8 +6,9 @@ canonical forms minimize over all relabelings, automorphism orbits take the
 least image over all permutations, shadow-homomorphism existence sweeps
 per-edge assignment products, shadow-homomorphism certificates are checked
 against the definition written out, density exponents sweep every edge subset
-of a pair shadow built here, maximum pattern-free subsets sweep vertex
-subsets as bitmasks, blowup membership replays every step sequence, and
+and every vertex subset of a pair shadow built here, maximum pattern-free
+subsets sweep vertex subsets as bitmasks, blowup membership replays every
+step sequence, and
 the embedding kernel's placement order is recomputed from its documented
 key at every step.  Library results are checked against these on instances
 small enough to enumerate.  The seeded streams of the constructions are
@@ -198,6 +199,46 @@ def oracle_max_density(f: Hypergraph, offset: int) -> Fraction:
         if best is None or value > best:
             best = value
     return best
+
+
+def oracle_vertex_subsets(f: Hypergraph) -> list:
+    """(size, S, shadow edges inside S) for every vertex subset S of the
+    pair shadow of f with no isolated vertex, by increasing size."""
+    pairs = {p for e in f.edges for p in itertools.combinations(e, 2)}
+    covered = sorted({v for p in pairs for v in p})
+    found = []
+    for size in range(2, len(covered) + 1):
+        for s in itertools.combinations(covered, size):
+            chosen = tuple(filter(pairs.__contains__, itertools.combinations(s, 2)))
+            if len(set(itertools.chain.from_iterable(chosen))) == size:
+                found.append((size, s, chosen))
+    return found
+
+
+def oracle_densest(subsets: list, offset: int) -> tuple:
+    """Brute-force (value, witness vertices, witness edges) of
+    max (e' + offset) / (v' - 1) over the vertex subsets S that
+    oracle_vertex_subsets(f) lists, e' counting the shadow edges inside S:
+    the maximum value, then the fewest vertices, then the least canonical
+    form of the witness relabeled to 0..|S|-1, then the least edge list."""
+    best, tied = None, []
+    for size, s, chosen in subsets:
+        value = Fraction(len(chosen) + offset, size - 1)
+        if best is None or value > best:
+            best, tied = value, [(s, chosen)]
+        elif size == len(tied[0][0]) and value == best:
+            tied.append((s, chosen))
+    s, chosen = min(tied, key=oracle_tie_key) if len(tied) > 1 else tied[0]
+    return best, s, chosen
+
+
+def oracle_tie_key(witness: tuple) -> tuple:
+    """The exponents' tie-break key of a witness (vertices, shadow edges):
+    the canonical form of the witness relabeled to 0..|S|-1, then its edges."""
+    s, chosen = witness
+    relabel = {v: i for i, v in enumerate(s)}
+    h = Hypergraph(2, len(s), tuple(tuple(relabel[v] for v in e) for e in chosen))
+    return oracle_canonical(h), chosen
 
 
 def relabeled(h: Hypergraph, perm) -> Hypergraph:

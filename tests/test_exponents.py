@@ -1,4 +1,7 @@
-"""Density exponents against the 2^e subset sweep oracle."""
+"""Density exponents against brute force: values and witnesses against a
+sweep of every vertex subset of the pair shadow (conftest.oracle_densest, up
+to 12 covered vertices), and against a sweep of all 2^e edge subsets on
+shadows of at most 20 edges."""
 
 import itertools
 import random
@@ -16,7 +19,13 @@ from erdosrogers import (
     check_concluding_condition,
     exponents,
 )
-from conftest import oracle_canonical, oracle_max_density, random_hypergraph
+from conftest import (
+    oracle_densest,
+    oracle_max_density,
+    oracle_tie_key,
+    oracle_vertex_subsets,
+    random_hypergraph,
+)
 
 
 def loose_tail(base: Hypergraph, joints: int) -> Hypergraph:
@@ -44,14 +53,7 @@ def oracle_witness(f: Hypergraph, offset: int):
         value = Fraction(len(chosen) + offset, len(covered) - 1)
         scored.append(((value, -len(covered)), covered, chosen))
     top = max(key for key, _, _ in scored)
-
-    def tie_key(witness):
-        covered, chosen = witness
-        relabel = {v: i for i, v in enumerate(covered)}
-        h = Hypergraph(2, len(covered), tuple(tuple(relabel[v] for v in e) for e in chosen))
-        return oracle_canonical(h), chosen
-
-    covered, chosen = min(((c, e) for key, c, e in scored if key == top), key=tie_key)
+    covered, chosen = min(((c, e) for key, c, e in scored if key == top), key=oracle_tie_key)
     return top[0], covered, chosen
 
 
@@ -162,6 +164,28 @@ class TestOracleAgreement:
             a, b = alpha(f).value, beta(f).value
             assert a >= b
             assert a >= 2
+
+
+class TestVertexSubsetOracle:
+    def test_sweep(self):
+        # 7-12 covered vertices, past the edge-subset oracle's 20 shadow
+        # edges.  Dense 2-graphs make ties common, so the tie-break is tested.
+        rng = random.Random(101)
+        cases = []
+        while len(cases) < 300:
+            r = (2, 2, 3, 4)[len(cases) % 4]
+            n = rng.randint(7, 12)
+            p = {2: (0.3, 0.6, 0.8), 3: (0.1, 0.2), 4: (0.05, 0.1)}[r]
+            f = random_hypergraph(rng, r, n, p=rng.choice(p))
+            if len({v for e in f.edges for v in e}) >= 7:
+                cases.append(f)
+        for f in cases:
+            subsets = oracle_vertex_subsets(f)
+            for fn, offset in ((alpha, 1), (beta, 0)):
+                rep = fn(f)
+                assert (rep.value, rep.witness_vertices, rep.witness_edges) == (
+                    oracle_densest(subsets, offset)
+                )
 
 
 class TestConcludingCondition:
