@@ -8,13 +8,12 @@ per-edge assignment products, shadow-homomorphism certificates are checked
 against the definition written out, density exponents sweep every edge subset
 and every vertex subset of a pair shadow built here, maximum pattern-free
 subsets sweep vertex subsets as bitmasks, blowup membership replays every
-step sequence, and
-the embedding kernel's placement order is recomputed from its documented
-key at every step.  Library results are checked against these on instances
-small enough to enumerate.  The seeded streams of the constructions are
-re-derived from README's contract with hashlib and the standard library's
-random.Random.  From the library this file imports only Hypergraph,
-build_complete and build_h.
+step sequence, and the embedding kernel's placement order is recomputed from
+its documented key at every step.  Library results are checked against these
+on instances small enough to enumerate.  The seeded streams of the
+constructions are re-derived from README's contract with hashlib and the
+standard library's random.Random.  From the library this file imports only
+Hypergraph, build_complete and build_h.
 """
 
 import hashlib
