@@ -16,6 +16,7 @@ Results are bit-reproducible: re-running a command with the echoed inputs
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -24,32 +25,35 @@ from fractions import Fraction
 from . import constructions, exact, exponents, hgio, morphisms
 from .errors import CapacityError, InvalidParameterError
 from .hgio import _json_text
-from .hypergraph import iterated_blowup, shadow
-from .isomorphism import Embedding, contains_copy
-from .morphisms import SetMap, ShadowHomWitness
+from .hypergraph import Hypergraph, iterated_blowup, shadow
+from .isomorphism import contains_copy
+from .morphisms import SetMap
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _json_value(value):
+    """The JSON value of a library value, as reports and certificates write it.
 
-
-def _embedding_obj(emb: Embedding | None):
-    return None if emb is None else {"images": list(emb.images)}
-
-
-def _setmap_obj(sm: SetMap, names: tuple[str, str, str]) -> dict:
-    src, tgt, img = names
-    return {src: list(sm.source), tgt: list(sm.target), img: list(sm.images)}
-
-
-def _witness_obj(w: ShadowHomWitness | None):
-    if w is None:
-        return None
-    return {
-        "k": w.k,
-        "shadow_map": [_setmap_obj(sm, ("S", "f_S", "g_S")) for sm in w.shadow_map],
-        "edge_map": [_setmap_obj(em, ("e", "f_e", "g_e")) for em in w.edge_map],
-    }
+    A dataclass or NamedTuple becomes an object of its fields in declaration
+    order, a Fraction the string "p/q", a Hypergraph its :mod:`.hgio` JSON
+    form and a SetMap ``{"S", "f_S", "g_S"}`` (source, target, images).  A
+    tuple of ints is kept, for :func:`.hgio._json_text` writes it as a list;
+    any other tuple becomes the list of its encoded items.
+    """
+    if isinstance(value, Hypergraph):
+        return hgio.to_json_obj(value)
+    if isinstance(value, SetMap):
+        return {"S": value.source, "f_S": value.target, "g_S": value.images}
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields}
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            return dict(zip(value._fields, map(_json_value, value)))
+        if set(map(type, value)) != {int}:
+            return list(map(_json_value, value))
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -72,72 +76,68 @@ def _rational(text: str) -> str:
 # Parsed arguments that the report does not echo as inputs: argparse and
 # dispatch bookkeeping, the ignored --threads, the seed (a top-level key of its
 # own) and the output paths (echoed in the result).
-_NOT_ECHOED = {
-    "command", "handler", "hg_files", "exponent", "threads", "seed", "out", "cert"
-}
+_NOT_ECHOED = {"command", "handler", "hg_files", "threads", "seed", "out", "cert"}
 
 
 def _cmd_shadow(args, h):
-    return {"hypergraph": hgio.to_json_obj(shadow(h, args.k))}
+    return {"hypergraph": _json_value(shadow(h, args.k))}
 
 
 def _cmd_hom(args, g, f):
     witness = morphisms.find_homomorphism(g, f)
-    return {"found": witness is not None, "witness": _embedding_obj(witness)}
+    return {"found": witness is not None, "witness": _json_value(witness)}
 
 
 def _cmd_shadow_hom(args, g, f):
     witness = morphisms.find_shadow_homomorphism(g, f, args.k)
-    return {"found": witness is not None, "witness": _witness_obj(witness)}
+    obj = _json_value(witness)
+    if witness is not None:
+        # An edge map is written with keys of its own.
+        keys = ("e", "f_e", "g_e")
+        obj["edge_map"] = [dict(zip(keys, m.values())) for m in obj["edge_map"]]
+    return {"found": witness is not None, "witness": obj}
 
 
 def _cmd_tight(args, g):
     order = morphisms.is_k_tightly_connected(g, args.k)
-    return {
-        "found": order is not None,
-        "order": None if order is None else [list(e) for e in order.order],
-    }
+    if order is None:
+        return {"found": False, "order": None}
+    return {"found": True, **_json_value(order)}
 
 
 def _cmd_blowup_member(args, g, f):
     cert = morphisms.is_sub_iterated_blowup(g, f, args.max_steps)
-    return {
-        "found": cert is not None,
-        "steps": None if cert is None else list(cert.steps),
-        "embedding": _embedding_obj(cert.embedding if cert else None),
-    }
+    if cert is None:
+        return {"found": False, "steps": None, "embedding": None}
+    return {"found": True, **_json_value(cert)}
 
 
-def _cmd_density(args, f):
-    report = args.exponent(f)
-    return {
-        "value": _fraction_str(report.value),
-        "witness_vertices": list(report.witness_vertices),
-        "witness_edges": [list(e) for e in report.witness_edges],
-        "numerator_offset": report.numerator_offset,
-    }
+def _cmd_alpha(args, f):
+    return _json_value(exponents.alpha(f))
+
+
+def _cmd_beta(args, f):
+    return _json_value(exponents.beta(f))
 
 
 def _cmd_construct(args, f):
     params = constructions.ConstructionParams(c1=Fraction(args.c1), seed=args.seed)
     if args.mode == "coloring":
         h, cert = constructions.construct_coloring(args.n, f, params)
-        cert_obj = constructions.pair_coloring_to_json(cert)
         extra = {"ell": cert.ell}
     else:
         if args.k is None:
             raise InvalidParameterError("labeling mode requires -k")
         h, cert = constructions.construct_shadow_labeling(args.n, f, args.k, params)
-        cert_obj = constructions.shadow_labeling_to_json(cert)
         extra = {"k": cert.k}
     if args.out:
         hgio.save_hg(h, args.out)
     if args.cert:
         with open(args.cert, "w") as fobj:
-            fobj.write(_json_text(cert_obj) + "\n")
+            fobj.write(_json_text(_json_value(cert)) + "\n")
     return {
         "mode": args.mode,
-        "hypergraph": hgio.to_json_obj(h),
+        "hypergraph": _json_value(h),
         "edge_count": len(h.edges),
         "output_file": args.out,
         "certificate_file": args.cert,
@@ -147,20 +147,13 @@ def _cmd_construct(args, f):
 
 def _cmd_verify_gfree(args, h, g):
     violation = contains_copy(h, g)
-    return {"g_free": violation is None, "violation": _embedding_obj(violation)}
+    return {"g_free": violation is None, "violation": _json_value(violation)}
 
 
 def _cmd_cover(args, h, f):
-    est = constructions.estimate_f_cover(
+    return _json_value(constructions.estimate_f_cover(
         h, f, args.w, args.trials, args.seed, exhaustive=args.exhaustive
-    )
-    return {
-        "fraction": est.fraction,
-        "half_width": est.half_width,
-        "hits": est.hits,
-        "trials": est.trials,
-        "exhaustive": est.exhaustive,
-    }
+    ))
 
 
 def _cmd_extract(args, h, f):
@@ -169,19 +162,17 @@ def _cmd_extract(args, h, f):
     return {
         "found": found,
         "steps": args.steps,
-        "embedding": _embedding_obj(emb),
-        "blowup": hgio.to_json_obj(iterated_blowup(f, args.steps)) if found else None,
+        "embedding": _json_value(emb),
+        "blowup": _json_value(iterated_blowup(f, args.steps)) if found else None,
     }
 
 
 def _cmd_maxfree(args, h, f):
-    res = exact.max_f_free_subset(h, f)
-    return {"size": res.size, "witness": list(res.witness)}
+    return _json_value(exact.max_f_free_subset(h, f))
 
 
 def _cmd_f_exact(args, f, g):
-    res = exact.f_exact(f, g, args.n)
-    return {"value": res.value, "extremal": hgio.to_json_obj(res.extremal)}
+    return _json_value(exact.f_exact(f, g, args.n))
 
 
 @functools.cache
@@ -208,11 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, *files, loads=(), **defaults):
+    def command(name, handler, help, *files, loads=()):
         p = sub.add_parser(name, parents=[common], help=help)
         for dest in files:
             p.add_argument(dest)
-        p.set_defaults(handler=handler, hg_files=files + loads, **defaults)
+        p.set_defaults(handler=handler, hg_files=files + loads)
         return p
 
     p = command("shadow", _cmd_shadow, "k-shadow of a hypergraph", "file")
@@ -238,14 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-steps", type=int, default=4)
 
-    command(
-        "alpha", _cmd_density, "offset-1 density exponent", "F",
-        exponent=exponents.alpha,
-    )
-    command(
-        "beta", _cmd_density, "offset-0 density exponent", "F",
-        exponent=exponents.beta,
-    )
+    command("alpha", _cmd_alpha, "offset-1 density exponent", "F")
+    command("beta", _cmd_beta, "offset-0 density exponent", "F")
 
     p = command(
         "construct", _cmd_construct, "seeded randomized constructions", loads=("F",)

@@ -342,30 +342,12 @@ def extract_blowup_copy(
     return result
 
 
-def pair_coloring_to_json(cert: PairColoring) -> dict:
-    return {
-        "ell": cert.ell,
-        "beta": list(cert.beta),
-        "gammas": [list(g) for g in cert.gammas],
-    }
-
-
 def pair_coloring_from_json(obj: dict) -> PairColoring:
     return PairColoring(
         ell=int(obj["ell"]),
         beta=tuple(obj["beta"]),
         gammas=tuple(tuple(g) for g in obj["gammas"]),
     )
-
-
-def shadow_labeling_to_json(cert: ShadowLabeling) -> dict:
-    return {
-        "k": cert.k,
-        "labels": [
-            {"S": list(sm.source), "f_S": list(sm.target), "g_S": list(sm.images)}
-            for sm in cert.labels
-        ],
-    }
 
 
 def shadow_labeling_from_json(obj: dict) -> ShadowLabeling:

@@ -176,7 +176,11 @@ def load_hg(path: str) -> Hypergraph:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise HgFormatError(exc.lineno, f"invalid JSON: {exc.msg}")
-        return from_json_obj(obj)
+        # Shape and id errors name line 1, as parse_hg's Hypergraph errors do.
+        try:
+            return from_json_obj(obj)
+        except InvalidParameterError as exc:
+            raise HgFormatError(1, str(exc))
     return parse_hg(text)
 
 

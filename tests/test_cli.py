@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,7 +204,28 @@ def test_non_integer_json_vertex_exit_2(tmp_path, capsys):
     with open(bad, "w") as fobj:
         json.dump({"r": 3, "n": 4, "edges": [[0, 1, 2.5]]}, fobj)
     assert run(["shadow", bad, "-k", "2"]) == 2
-    assert "2.5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and "2.5" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("list.json", "[1, 2]"),
+        ("no-edges.json", '{\n  "r": 3,\n  "n": 4\n}'),
+        ("r0.hg", "0 4\n"),
+    ],
+    ids=["list", "no-edges", "r0"],
+)
+def test_hypergraph_errors_name_line_1(tmp_path, capsys, name, text):
+    # Errors of the whole hypergraph, not of one .hg edge line, name line 1.
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert run(["shadow", str(bad), "-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("suffix", [".hg", ".json"])
@@ -348,3 +372,23 @@ def test_seeded_commands_bit_identical(files, capsys):
     assert strip_time(a) == strip_time(b)
     # thread flag is echoed nowhere; results must be identical
     assert strip_time(a) == strip_time(c)
+
+
+def test_module_entry_point(files, capsys, monkeypatch):
+    # python -m erdosrogers.cli exits through main() with the code run() returns.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    monkeypatch.chdir(files["dir"])
+    for argv, expected in [
+        (["shadow-hom", "k34.hg", "k33.hg", "-k", "2"], 1),
+        (["construct", "coloring", "-n", "12", "-F", "k33.hg", "--seed", "5"], 0),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "erdosrogers.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == expected, proc.stderr
+        code, report = run_json(capsys, argv)
+        assert code == expected
+        child = strip_time(json.loads(proc.stdout))
+        assert json.dumps(child) == json.dumps(strip_time(report))
