@@ -317,10 +317,9 @@ def extract_blowup_copy(
     """
     if h.r != f.r:
         raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
-    current = f
-    result: Optional[Embedding] = None
     if not steps:
         return contains_copy(h, f)
+    current = f
     for v in steps:
         if v < 0 or v >= current.n:
             raise InvalidParameterError(
@@ -338,8 +337,7 @@ def extract_blowup_copy(
         images.insert(v, ext.extenders[f_emb.images[0]])
         images += (ext.extenders[i] for i in f_emb.images[1:])
         current = blowup_F(current, v, f)
-        result = Embedding(tuple(images))
-    return result
+    return Embedding(tuple(images))
 
 
 def pair_coloring_from_json(obj: dict) -> PairColoring:

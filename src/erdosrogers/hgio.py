@@ -146,11 +146,13 @@ def to_json_obj(h: Hypergraph) -> dict:
 
 def from_json_obj(obj: dict) -> Hypergraph:
     """Hypergraph from the JSON object form; r, n and vertex ids must be ints."""
-    try:
-        r, n, edges = obj["r"], obj["n"], tuple(tuple(e) for e in obj["edges"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameterError(f"malformed hypergraph JSON: {exc}")
-    return Hypergraph(r, n, edges)
+    if not isinstance(obj, dict) or not {"r", "n", "edges"} <= obj.keys():
+        fault = "expected an object with keys r, n and edges"
+    elif not isinstance(obj["edges"], list) or not all(isinstance(e, list) for e in obj["edges"]):
+        fault = "edges must be a list of vertex lists"
+    else:
+        return Hypergraph(obj["r"], obj["n"], obj["edges"])
+    raise InvalidParameterError(f"malformed hypergraph JSON: {fault}")
 
 
 def save_hg(h: Hypergraph, path: str) -> None:

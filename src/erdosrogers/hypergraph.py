@@ -195,38 +195,32 @@ def induced(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
 def blowup_t(h: Hypergraph, v: int, t: int) -> Hypergraph:
     """Add t-1 copies of vertex v, each inheriting v's edges.
 
-    The copies receive the fresh ids ``n, n+1, ..., n+t-2``.  No edge contains
-    two members of {v and its copies}; copy-copy edges arise only through the
-    pattern placed by :func:`blowup_F`.
+    The copies receive the fresh ids ``n, n+1, ..., n+t-2``.  This is
+    :func:`blowup_F` with the edgeless pattern on t vertices, so no edge
+    contains two members of {v and its copies}.
     """
-    if v < 0 or v >= h.n:
-        raise InvalidParameterError(f"vertex {v} not in 0..{h.n - 1}")
     if t < 1:
         raise InvalidParameterError(f"multiplicity must be >= 1, got {t}")
-    edges = list(h.edges)
-    for copy in range(h.n, h.n + t - 1):
-        for e in h.edges:
-            if v in e:
-                edges.append(tuple(sorted(u for u in e if u != v) + [copy]))
-    return Hypergraph(h.r, h.n + t - 1, tuple(edges))
+    return blowup_F(h, v, Hypergraph(h.r, t))
 
 
 def blowup_F(h: Hypergraph, v: int, f: Hypergraph) -> Hypergraph:
     """Blow v up into v(f) mutually non-adjacent copies and place a copy of f on them.
 
-    v plays f's vertex 0; the fresh copies play f's vertices 1..v(f)-1 in index
-    order.  The role assignment is fixed so the result is deterministic.
+    Each copy inherits v's edges.  v plays f's vertex 0; the fresh copies
+    ``n, ..., n+v(f)-2`` play f's vertices 1..v(f)-1 in index order.  The role
+    assignment is fixed so the result is deterministic.
     """
     if f.r != h.r:
         raise InvalidParameterError(f"uniformity mismatch: {h.r} vs {f.r}")
-    base = blowup_t(h, v, max(f.n, 1))
-    role = {0: v}
-    for i in range(1, f.n):
-        role[i] = h.n + i - 1
-    edges = list(base.edges)
-    for e in f.edges:
-        edges.append(tuple(sorted(role[u] for u in e)))
-    return Hypergraph(h.r, base.n, tuple(edges))
+    if v < 0 or v >= h.n:
+        raise InvalidParameterError(f"vertex {v} not in 0..{h.n - 1}")
+    copies = range(h.n, h.n + f.n - 1)
+    role = (v, *copies)
+    edges = list(h.edges)
+    edges += [[c if u == v else u for u in e] for e in h.edges if v in e for c in copies]
+    edges += [[role[u] for u in e] for e in f.edges]
+    return Hypergraph(h.r, h.n + len(copies), edges)
 
 
 def iterated_blowup(f: Hypergraph, steps: Sequence[int]) -> Hypergraph:

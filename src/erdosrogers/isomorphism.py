@@ -471,7 +471,10 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     shorter loses at the position after it, where the least list still has an
     edge through {0..r-2}.  So every minimizing labeling gives labels 0..r-2 to
     an (r-1)-set of codegree c* and labels r-1..r-2+c* to its link, and only
-    such vertices are tried at those depths.
+    such vertices are tried at those depths.  Every depth has a candidate:
+    below depth r-1 the labeled vertices lie in such an (r-1)-set that still
+    has an unlabeled member, below depth r-1+c* fewer than c* vertices of its
+    link are labeled, and beyond that fewer than n vertices are labeled.
 
     Twin rule.  Of each twin class (:func:`_twin_classes`), only the first
     unlabeled vertex in candidate order is tried.  If u and w are unlabeled
@@ -507,7 +510,6 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     for v, c in enumerate(_twin_classes(h)):
         lower[v] = seen.get(c, 0)
         seen[c] = lower[v] | bit[v]
-    twins = any(lower)
     free = (1 << n) - 1  # the unlabeled vertices
     labeled: list[int] = []
     # Per edge: the labels given so far, each in its place, and their count.
@@ -542,8 +544,6 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
     def rec(k: int) -> bool:  # True: stop
         nonlocal best, free
         m = free if k >= deep else allowed(k)
-        if not m:
-            return False
         tail = tails[k]
         if k == n - 1:
             # The last vertex's label is k, its padding: the bound is final.
@@ -567,10 +567,7 @@ def _min_edge_list(h: Hypergraph, incumbent: Optional[tuple] = None) -> tuple:
                 prev = b
             else:
                 return False
-        if twins:
-            keys = [key[v] for v in range(n) if m >> v & 1 and not lower[v] & free]
-        else:
-            keys = [key[v] for v in range(n) if m >> v & 1]
+        keys = [key[v] for v in range(n) if m >> v & 1 and not lower[v] & free]
         keys.sort(reverse=True)
         add = label[k]
         for kv in keys:

@@ -208,23 +208,37 @@ def test_non_integer_json_vertex_exit_2(tmp_path, capsys):
     assert err.startswith("error: line 1: ") and "2.5" in err
 
 
+OBJECT_KEYS = "malformed hypergraph JSON: expected an object with keys r, n and edges"
+EDGE_LISTS = "malformed hypergraph JSON: edges must be a list of vertex lists"
+
+
 @pytest.mark.parametrize(
-    "name, text",
+    "name, text, message",
     [
-        ("list.json", "[1, 2]"),
-        ("no-edges.json", '{\n  "r": 3,\n  "n": 4\n}'),
-        ("r0.hg", "0 4\n"),
+        ("list.json", "[1, 2]", OBJECT_KEYS),
+        ("no-edges.json", '{\n  "r": 3,\n  "n": 4\n}', OBJECT_KEYS),
+        ("int-edges.json", '{"r": 3, "n": 4, "edges": [0, 1, 2]}', EDGE_LISTS),
+        ("r0.hg", "0 4\n", "uniformity must be >= 1, got 0"),
     ],
-    ids=["list", "no-edges", "r0"],
+    ids=["list", "no-edges", "int-edges", "r0"],
 )
-def test_hypergraph_errors_name_line_1(tmp_path, capsys, name, text):
+def test_hypergraph_errors_name_line_1(tmp_path, capsys, name, text, message):
     # Errors of the whole hypergraph, not of one .hg edge line, name line 1.
     bad = tmp_path / name
     bad.write_text(text)
     assert run(["shadow", str(bad), "-k", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: line 1: ")
+    assert captured.err == f"error: line 1: {message}\n"
+
+
+def test_invalid_json_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "r": 3,\n  "n": 4,,\n  "edges": []\n}\n')
+    assert run(["shadow", str(bad), "-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3: invalid JSON: ")
     assert captured.err.count("\n") == 1
 
 
@@ -343,6 +357,42 @@ def test_capacity_error_exit_3(files, capsys):
     # C(9, 3) = 84 exceeds the enumeration bound
     assert run(["f-exact", files["k33"], files["k34"], "-n", "9"]) == 3
     capsys.readouterr()
+
+
+# Argument checks that no other test reaches: argv with host names for
+# paths, the exit code and the whole stderr line.
+ARGUMENT_ERRORS = {
+    "cover-exhaustive-cap": (
+        ["cover", "r40", "k33", "-w", "8", "--seed", "1", "--exhaustive"],
+        3,
+        "exhaustive mode limited to 1000000 subsets, got 76904685",
+    ),
+    "cover-trials-0": (
+        ["cover", "r40", "k33", "-w", "8", "--seed", "1", "--trials", "0"],
+        2,
+        "trials must be >= 1, got 0",
+    ),
+    "labeling-without-k": (
+        ["construct", "labeling", "-n", "10", "-F", "k33", "--seed", "1"],
+        2,
+        "labeling mode requires -k",
+    ),
+    "labeling-n-below-v-f": (
+        ["construct", "labeling", "-n", "2", "-k", "2", "-F", "k33", "--seed", "1"],
+        2,
+        "need n >= 3, got 2",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, message", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS.keys()
+)
+def test_argument_errors(files, capsys, argv, code, message):
+    assert run([files.get(a, a) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_reports_reparse_and_decisions_match(files, capsys):

@@ -360,6 +360,13 @@ class TestExtractBlowupCopy:
         assert emb is not None
         assert is_embedding(iterated_blowup(k33, [0, 1]), host, emb)
 
+    def test_extenders_without_f_copy(self, k33):
+        # The pair (0, 1) has three extenders, K^3_3's vertex count, but no
+        # triple among them is an edge.
+        host = Hypergraph(3, 5, ((0, 1, 2), (0, 1, 3), (0, 1, 4)))
+        assert richest_extension(host, k33, 0, 3).extenders == (2, 3, 4)
+        assert extract_blowup_copy(host, k33, [0]) is None
+
     def test_step_vertex_validation(self, k33):
         with pytest.raises(InvalidParameterError):
             extract_blowup_copy(build_complete(3, 8), k33, [3])

@@ -17,7 +17,7 @@ from erdosrogers import (
     richest_extension,
     shadow,
 )
-from conftest import random_hypergraph
+from conftest import oracle_blowup, random_hypergraph
 
 
 class TestHypergraph:
@@ -254,6 +254,21 @@ class TestBlowups:
         b = blowup_F(h32, 1, k33)
         placed = [1] + [4, 5]
         assert contains_copy(induced(b, placed), k33) is not None
+
+    def test_against_oracle(self):
+        # blowup_t(h, v, t) places the edgeless pattern on t vertices.
+        rng = random.Random(27)
+        for _ in range(2000):
+            r = rng.randint(1, 4)
+            h = random_hypergraph(rng, r, rng.randint(1, 7), p=0.4)
+            f = random_hypergraph(rng, r, rng.randint(1, 5), p=0.5)
+            v = rng.randrange(h.n)
+            t = rng.randint(1, 4)
+            assert blowup_F(h, v, f) == oracle_blowup(h, v, f)
+            assert blowup_t(h, v, t) == oracle_blowup(h, v, Hypergraph(r, t))
+
+    def test_blowup_F_empty_pattern_is_identity(self, h32):
+        assert blowup_F(h32, 2, Hypergraph(3, 0)) == h32
 
     def test_blowup_F_uniformity_mismatch(self, k33):
         with pytest.raises(InvalidParameterError):

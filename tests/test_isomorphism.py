@@ -15,10 +15,13 @@ from erdosrogers import (
     Hypergraph,
     InvalidParameterError,
     ShadowHomWitness,
+    alpha,
     blowup_F,
+    blowup_t,
     build_complete,
     build_h,
     canonical_form,
+    check_concluding_condition,
     construct_coloring,
     contains_copy,
     count_embeddings,
@@ -30,6 +33,7 @@ from erdosrogers import (
     find_shadow_homomorphism,
     is_embedding,
     is_isomorphic,
+    is_k_tightly_connected,
     is_sub_iterated_blowup,
     iter_embeddings,
     iterated_blowup,
@@ -769,6 +773,14 @@ class TestIsEmbedding:
         host = Hypergraph(3, 4, ((0, 1, 2),))
         assert not is_embedding(h32, host, Embedding((0, 1, 2, 3)))
 
+    def test_rejects_wrong_length(self, k33, k34):
+        assert not is_embedding(k33, k34, Embedding((0, 1)))
+        assert not is_embedding(k33, k34, Embedding((0, 1, 2, 3)))
+
+    def test_rejects_image_outside_host(self, k33, k34):
+        assert not is_embedding(k33, k34, Embedding((0, 1, 4)))
+        assert not is_embedding(k33, k34, Embedding((-1, 0, 1)))
+
 
 # Each public entry, given a 3-graph a against a 2-graph b.  The embedding
 # kernel states the uniformity rule for the wrappers that call it first; the
@@ -800,6 +812,40 @@ UNIFORMITY_ENTRIES = {
 def test_uniformity_mismatch_raises_at_every_entry(call, k33):
     with pytest.raises(InvalidParameterError, match="uniformity mismatch"):
         call(k33, build_complete(2, 3))
+
+
+# Each argument check that the other tests do not reach, with its message;
+# the calls take K^3_3.  blowup_t states its multiplicity rule before its
+# vertex rule.
+ARGUMENT_CHECKS = {
+    "alpha-r1": (lambda k: alpha(Hypergraph(1, 3, ((0,),))), "uniformity must be >= 2, got 1"),
+    "concluding-edgeless": (
+        lambda k: check_concluding_condition(Hypergraph(3, 4)),
+        "condition undefined for an edgeless hypergraph",
+    ),
+    "hypergraph-n": (lambda k: Hypergraph(3, -1), "vertex count must be >= 0, got -1"),
+    "enumerate-n": (
+        lambda k: next(enumerate_g_free(-1, 3, k)), "vertex count must be >= 0, got -1"
+    ),
+    "tight-k0": (
+        lambda k: is_k_tightly_connected(k, 0), "connectivity order must be in 1..3, got 0"
+    ),
+    "blowup-member-steps": (
+        lambda k: is_sub_iterated_blowup(k, k, -1), "max_steps must be >= 0, got -1"
+    ),
+    "blowup_t-t0": (lambda k: blowup_t(k, 0, 0), "multiplicity must be >= 1, got 0"),
+    "blowup_t-v": (lambda k: blowup_t(k, 3, 2), "vertex 3 not in 0..2"),
+    "blowup_t-both": (lambda k: blowup_t(k, 3, 0), "multiplicity must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS.keys()
+)
+def test_argument_checks(call, message, k33):
+    with pytest.raises(InvalidParameterError) as info:
+        call(k33)
+    assert str(info.value) == message
 
 
 def test_isomorphism_is_false_on_uniformity_mismatch(k33):

@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -241,6 +242,17 @@ class TestVerifyShadowHom:
         )
         with pytest.raises(InvalidParameterError):
             verify_shadow_hom(tc5_gap, k33, 2, truncated)
+
+    def test_wrong_arity_raises(self, tc5_gap, k33):
+        # One image dropped from the first k-set's entry, then from the first edge's.
+        w = self._witness(tc5_gap, k33, 2)
+        sm, em = w.shadow_map[0], w.edge_map[0]
+        for short in (
+            replace(w, shadow_map=(SetMap(sm.source, sm.images[:1]),) + w.shadow_map[1:]),
+            replace(w, edge_map=(SetMap(em.source, em.images[:2]),) + w.edge_map[1:]),
+        ):
+            with pytest.raises(InvalidParameterError, match="image tuple of wrong arity"):
+                verify_shadow_hom(tc5_gap, k33, 2, short)
 
     def test_conflicting_duplicate_kset_entry_raises(self, tc5_gap, k33):
         # A reversed copy of the first k-set's entry in front of the true
